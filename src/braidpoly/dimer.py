@@ -3,9 +3,12 @@
 The enumeration modules get the bracket by listing trees or matchings;
 this one gets it in polynomial time.  Steps: sign the overlay edges so
 every face of its embedding satisfies the dimer parity rule, build the
-crossing-by-face matrix of signed letter images, run fraction-free
-elimination over the Laurent ring, and repair the global sign from any
-single perfect matching.
+crossing-by-face matrix of signed letter images, run sparse
+fraction-free (Bareiss) elimination over the Laurent ring, and repair
+the global sign from any single perfect matching.  Each block of the
+matrix is bidiagonal plus one dense column, so the elimination touches
+only the rows with a nonzero in the pivot column, and the number of
+ring operations grows about linearly with the crossing count.
 
 Signing is a GF(2) solve: one unknown per edge, one parity equation
 per traced face, where a face of boundary length 2k wants its negative
@@ -218,66 +221,147 @@ def _solve_gf2(equations: list[tuple[int, int]], variables: tuple[int, ...]) -> 
     return solution
 
 
-def adjacency_matrix(g: OverlayGraph, symbolic: bool = False) -> ModifiedAdjacencyMatrix:
+_SIGNED_IMAGE = {
+    (sign, letter): image if sign > 0 else -image
+    for letter, image in BRACKET_IMAGE.items()
+    for sign in (1, -1)
+}
+
+
+def adjacency_matrix(
+    g: OverlayGraph,
+    symbolic: bool = False,
+    crossings: tuple[int, ...] | None = None,
+    faces: tuple[int, ...] | None = None,
+) -> ModifiedAdjacencyMatrix:
+    """Crossing-by-face matrix, over all of ``g`` or the given subsets."""
+    row_ids = g.crossings if crossings is None else tuple(crossings)
+    col_ids = g.faces if faces is None else tuple(faces)
     lookup = {(e.crossing_id, e.face_id): e for e in g.edges}
+    zero = None if symbolic else LaurentPoly1.zero()
     rows = []
-    for cid in g.crossings:
+    for cid in row_ids:
         row = []
-        for fid in g.faces:
+        for fid in col_ids:
             e = lookup.get((cid, fid))
             if e is None:
-                row.append(None if symbolic else LaurentPoly1.zero())
+                row.append(zero)
             elif symbolic:
                 row.append((e.kasteleyn_sign, e.letter))
             else:
-                image = BRACKET_IMAGE[e.letter]
-                row.append(image if e.kasteleyn_sign > 0 else -image)
+                row.append(_SIGNED_IMAGE[(e.kasteleyn_sign, e.letter)])
         rows.append(tuple(row))
-    return ModifiedAdjacencyMatrix(g.crossings, g.faces, tuple(rows), symbolic)
+    return ModifiedAdjacencyMatrix(row_ids, col_ids, tuple(rows), symbolic)
+
+
+def _permutation_sign(order: list[int]) -> int:
+    seen = [False] * len(order)
+    sign = 1
+    for start in range(len(order)):
+        j = start
+        while not seen[j]:
+            seen[j] = True
+            j = order[j]
+            if j != start:
+                sign = -sign
+    return sign
 
 
 def bareiss_determinant(
     rows: list[list[LaurentPoly1]], ops: OpCounter | None = None
 ) -> LaurentPoly1:
-    """Fraction-free elimination; every division is exact by construction."""
+    """Sparse fraction-free elimination; every division is exact.
+
+    Rows are maps from column to nonzero entry.  Each step takes the
+    pivot of least Markowitz cost (row count - 1) * (column count - 1)
+    and updates only the rows with a nonzero in the pivot column.  A
+    row updated at step t holds the step-t Bareiss values; an untouched
+    row would be rescaled by p_s / p_(s-1) at each later step s, so the
+    scalings are left implicit and settled in one exact division by
+    p_t when the row is next touched (p_s is the step-s pivot, p_0 = 1).
+    The determinant is the last pivot times the signs of the row and
+    column orders in which pivots were taken.
+    """
     n = len(rows)
-    if n == 0:
-        return LaurentPoly1.one()
-    m = [list(row) for row in rows]
-    sign = 1
-    prev = LaurentPoly1.one()
-    for k in range(n - 1):
-        if m[k][k].is_zero:
-            for i in range(k + 1, n):
-                if not m[i][k].is_zero:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return LaurentPoly1.zero()
-        pivot = m[k][k]
-        for i in range(k + 1, n):
-            left = m[i][k]
-            for j in range(k + 1, n):
-                upper = m[k][j]
-                if m[i][j].is_zero and (left.is_zero or upper.is_zero):
-                    continue
-                value = pivot * m[i][j] - left * upper
+    live = {i: {j: x for j, x in enumerate(row) if x} for i, row in enumerate(rows)}
+    in_col: dict[int, set[int]] = {}
+    for i, row in live.items():
+        for j in row:
+            in_col.setdefault(j, set()).add(i)
+    level = dict.fromkeys(live, 0)
+    pivots = [LaurentPoly1.one()]
+    row_order: list[int] = []
+    col_order: list[int] = []
+    for step in range(1, n + 1):
+        best = None
+        for i, row in live.items():
+            reach = len(row) - 1
+            for j in row:
+                cost = reach * (len(in_col[j]) - 1)
+                if best is None or cost < best[0]:
+                    best = (cost, i, j)
+            if best is not None and best[0] == 0:
+                break
+        if best is None:
+            return LaurentPoly1.zero()
+        _, r, c = best
+        upper = live.pop(r)
+        for j in upper:
+            in_col[j].discard(r)
+        t = level.pop(r)
+        if t < step - 1:
+            for j, x in upper.items():
+                x = x * pivots[step - 1]
+                upper[j] = _divide(x, pivots[t], (r, j, step), ops) if t else x
+            if ops:
+                ops.muls += len(upper)
+        pivot = upper.pop(c)
+        for i in in_col.pop(c):
+            row = live[i]
+            left = -row.pop(c)
+            divisor = pivots[level[i]] if level[i] else None
+            for j in row.keys() | upper.keys():
+                x, y = row.get(j), upper.get(j)
+                if y is None:
+                    value = pivot * x
+                elif x is None:
+                    value = left * y
+                    in_col[j].add(i)
+                else:
+                    value = pivot * x + left * y
+                    if ops:
+                        ops.muls += 1
+                        ops.adds += 1
                 if ops:
-                    ops.muls += 2
-                    ops.adds += 1
-                try:
-                    m[i][j] = value.exact_div(prev)
-                except NotDivisible as exc:
-                    raise NotDivisible(
-                        f"elimination step ({i},{j}) at pivot {k}: {exc}"
-                    ) from exc
-                if ops:
-                    ops.divs += 1
-            m[i][k] = LaurentPoly1.zero()
-        prev = pivot
-    result = m[n - 1][n - 1]
-    return result if sign > 0 else -result
+                    ops.muls += 1
+                if divisor is not None:
+                    value = _divide(value, divisor, (i, j, step), ops)
+                if value:
+                    row[j] = value
+                else:
+                    del row[j]
+                    in_col[j].discard(i)
+            level[i] = step
+            if ops:
+                ops.adds += 1
+        pivots.append(pivot)
+        row_order.append(r)
+        col_order.append(c)
+    sign = _permutation_sign(row_order) * _permutation_sign(col_order)
+    return pivots[-1] if sign > 0 else -pivots[-1]
+
+
+def _divide(
+    value: LaurentPoly1, divisor: LaurentPoly1, where: tuple[int, int, int], ops: OpCounter | None
+) -> LaurentPoly1:
+    try:
+        out = value.exact_div(divisor)
+    except NotDivisible as exc:
+        i, j, step = where
+        raise NotDivisible(f"elimination step ({i},{j}) at pivot {step}: {exc}") from exc
+    if ops:
+        ops.divs += 1
+    return out
 
 
 def determinant(m: ModifiedAdjacencyMatrix, ops: OpCounter | None = None) -> LaurentPoly1:
@@ -378,22 +462,6 @@ def prepare_overlay(word: BraidWord) -> OverlayGraph:
     return kasteleyn_sign(overlay_activity_letters(build_overlay(build_diagram(word))))
 
 
-def _component_matrix(g: OverlayGraph, cids, fids) -> ModifiedAdjacencyMatrix:
-    lookup = {(e.crossing_id, e.face_id): e for e in g.edges}
-    rows = []
-    for cid in cids:
-        row = []
-        for fid in fids:
-            e = lookup.get((cid, fid))
-            if e is None:
-                row.append(LaurentPoly1.zero())
-            else:
-                image = BRACKET_IMAGE[e.letter]
-                row.append(image if e.kasteleyn_sign > 0 else -image)
-        rows.append(tuple(row))
-    return ModifiedAdjacencyMatrix(tuple(cids), tuple(fids), tuple(rows), False)
-
-
 def bracket_via_det(
     word: BraidWord, per_component: bool = True, ops: OpCounter | None = None
 ) -> LaurentPoly1:
@@ -404,7 +472,7 @@ def bracket_via_det(
         return LaurentPoly1.term(fix_sign(m, g), 0) * determinant(m, ops)
     total = LaurentPoly1.one()
     for cids, fids, _ in components(g):
-        m = _component_matrix(g, cids, fids)
+        m = adjacency_matrix(g, crossings=cids, faces=fids)
         block = LaurentPoly1.term(fix_sign(m, g), 0) * determinant(m, ops)
         total = total * block
     return total

@@ -2,8 +2,18 @@
 
 Two flavours are needed: one variable (``A``) for bracket and Jones
 values, and two variables (``a``, ``z``) for Kauffman-style values.
-Terms are kept in a dict mapping exponents to nonzero ints, so all
-arithmetic is exact at any size.
+All arithmetic is exact at any size.
+
+``LaurentPoly1`` carries the determinant path, so it is built for long
+products and exact quotients: a lowest exponent plus the dense run of
+coefficients above it, packed into one ``bytes`` as two's-complement
+slots of the narrowest width that holds every coefficient.  Products and
+quotients go through Kronecker substitution, one big-int operation each:
+the run is read as an integer in base 2^(8k) for a slot width k wide
+enough for the result, and the result's digits are the coefficients.
+A quotient read that way is accepted only after multiplying it back;
+otherwise schoolbook division decides.  ``LaurentPoly2`` keeps its
+terms in a dict mapping (a, z) exponent pairs to nonzero ints.
 
 Rendering conventions, fixed once and relied on by the CLI tests:
 
@@ -17,6 +27,8 @@ Rendering conventions, fixed once and relied on by the CLI tests:
 from __future__ import annotations
 
 import re
+import sys
+from array import array
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping
 
@@ -73,73 +85,262 @@ LAURENT2_JSON_SCHEMA = {
 }
 
 
-def _clean(terms: Mapping) -> dict:
+def _clean(terms: dict) -> dict:
     return {e: c for e, c in terms.items() if c != 0}
 
 
-class LaurentPoly1:
-    """A Laurent polynomial in the single variable ``A``."""
+# ------------------------------------------------------------ packed runs
+#
+# A run of n coefficients is n little-endian two's-complement slots of w
+# bytes each.  Its Kronecker image at slot width k >= w bytes is the
+# integer sum(c_i * 2^(8k i)); one big-int product or quotient of two
+# images is one polynomial product or quotient, provided every
+# coefficient of the result fits a k-byte slot.
 
-    __slots__ = ("_terms",)
+_ARRAY_CODES = {array(code).itemsize: code for code in "qlihb"}
+_SIGN_FILL = bytes(0xFF if b & 0x80 else 0 for b in range(256))
+_LITTLE = sys.byteorder == "little"
+
+
+def _slot_bits(k: int, byte: int, n: int) -> int:
+    """The top bit of byte ``byte`` in each of n k-byte slots."""
+    slot = bytes(byte) + b"\x80" + bytes(k - byte - 1)
+    return int.from_bytes(slot * n, "little")
+
+
+def _to_int(data: bytes, w: int, k: int) -> int:
+    """Kronecker image at k-byte slots of a run packed in w-byte slots."""
+    n = len(data) // w
+    if k != w:
+        wide = bytearray(n * k)
+        for j in range(w):
+            wide[j::k] = data[j::w]
+        data = wide
+    u = int.from_bytes(data, "little")
+    # each slot holds c mod 2^(8w); take 2^(8w) back off the negative ones
+    return u - ((u & _slot_bits(k, w - 1, n)) << 1)
+
+
+def _from_int(value: int, k: int, n: int) -> tuple[int, bytes]:
+    """(width, run) of the n balanced base-2^(8k) digits of ``value``.
+
+    Raises OverflowError when ``value`` needs more than n slots.
+    """
+    top = _slot_bits(k, k - 1, n)
+    return _narrow(((value + top) ^ top).to_bytes(n * k, "little"), k)
+
+
+def _narrow(data: bytes, k: int) -> tuple[int, bytes]:
+    """Repack k-byte slots at the narrowest width that holds each one."""
+    w = k
+    # w - 1 bytes suffice when byte w - 1 of every slot only extends a sign
+    while w > 1 and data[w - 1 :: k] == data[w - 2 :: k].translate(_SIGN_FILL):
+        w -= 1
+    if w == k:
+        return k, data
+    out = bytearray(len(data) // k * w)
+    for j in range(w):
+        out[j::w] = data[j::k]
+    return w, bytes(out)
+
+
+def _pack(coeffs: list[int]) -> tuple[int, bytes]:
+    """(width, run) of a coefficient list with nonzero ends."""
+    bits = max(max(coeffs), ~min(coeffs)).bit_length() + 1
+    w = (bits + 7) // 8
+    code = _ARRAY_CODES.get(w)
+    if code is None:
+        return w, b"".join(c.to_bytes(w, "little", signed=True) for c in coeffs)
+    run = array(code, coeffs)
+    if not _LITTLE:
+        run.byteswap()
+    return w, run.tobytes()
+
+
+def _unpack(data: bytes, w: int) -> list[int]:
+    code = _ARRAY_CODES.get(w)
+    if code is None:
+        return [
+            int.from_bytes(data[i : i + w], "little", signed=True)
+            for i in range(0, len(data), w)
+        ]
+    run = array(code, data)
+    if not _LITTLE:
+        run.byteswap()
+    return run.tolist()
+
+
+def _long_division(num: list[int], den: list[int]) -> list[int]:
+    """Schoolbook division of coefficient runs, lowest coefficient first."""
+    rem = list(num)
+    deg_d = len(den) - 1
+    lead_d = den[-1]
+    quot = [0] * max(len(num) - deg_d, 0)
+    deg_r = len(rem) - 1
+    while deg_r >= 0:
+        if deg_r < deg_d:
+            raise NotDivisible("nonzero remainder")
+        c, r = divmod(rem[deg_r], lead_d)
+        if r != 0:
+            raise NotDivisible("leading coefficient does not divide")
+        e = deg_r - deg_d
+        quot[e] = c
+        for i, cd in enumerate(den):
+            rem[e + i] -= c * cd
+        while deg_r >= 0 and not rem[deg_r]:
+            deg_r -= 1
+    return quot
+
+
+class LaurentPoly1:
+    """A Laurent polynomial in the single variable ``A``.
+
+    Stored as the lowest exponent ``_lo`` and the dense run of
+    coefficients from there to the highest exponent, packed into
+    ``_data`` as slots of ``_w`` bytes: the narrowest two's-complement
+    width that holds every coefficient.  Both end slots are nonzero, so
+    equal polynomials have equal fields; zero is the empty run.  The run
+    grows with the exponent span, not the term count: bracket values and
+    the minors of their matrices fill about a quarter of their span.
+    """
+
+    __slots__ = ("_lo", "_w", "_data")
 
     def __init__(self, terms: Mapping[int, int] | Iterable[tuple[int, int]] = ()):
-        if not isinstance(terms, Mapping):
+        if not isinstance(terms, dict):
             terms = dict(terms)
-        self._terms = _clean(terms)
+        terms = _clean(terms)
+        if not terms:
+            self._lo, self._w, self._data = 0, 1, b""
+            return
+        lo = min(terms)
+        coeffs = [0] * (max(terms) - lo + 1)
+        for e, c in terms.items():
+            coeffs[e - lo] = c
+        self._lo = lo
+        self._w, self._data = _pack(coeffs)
+
+    @classmethod
+    def _make(cls, lo: int, w: int, data: bytes) -> "LaurentPoly1":
+        out = object.__new__(cls)
+        out._lo, out._w, out._data = lo, w, data
+        return out
+
+    @classmethod
+    def _from_coeffs(cls, lo: int, coeffs: list[int]) -> "LaurentPoly1":
+        start, stop = 0, len(coeffs)
+        while start < stop and not coeffs[start]:
+            start += 1
+        while stop > start and not coeffs[stop - 1]:
+            stop -= 1
+        if start == stop:
+            return _ZERO
+        return cls._make(lo + start, *_pack(coeffs[start:stop]))
 
     @classmethod
     def zero(cls) -> "LaurentPoly1":
-        return cls()
+        return _ZERO
 
     @classmethod
     def one(cls) -> "LaurentPoly1":
-        return cls({0: 1})
+        return _ONE
 
     @classmethod
     def term(cls, coeff: int, exp: int) -> "LaurentPoly1":
         """The monomial ``coeff * A^exp``."""
-        return cls({exp: coeff})
+        return cls._from_coeffs(exp, [coeff])
+
+    def _coeffs(self) -> list[int]:
+        return _unpack(self._data, self._w)
 
     @property
     def terms(self) -> dict[int, int]:
-        return dict(self._terms)
+        lo = self._lo
+        return {lo + i: c for i, c in enumerate(self._coeffs()) if c}
 
     @property
     def is_zero(self) -> bool:
-        return not self._terms
+        return not self._data
 
     def __bool__(self) -> bool:
-        return bool(self._terms)
+        return bool(self._data)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, LaurentPoly1):
             return NotImplemented
-        return self._terms == other._terms
+        return (
+            self._lo == other._lo and self._w == other._w and self._data == other._data
+        )
 
     def __hash__(self) -> int:
-        return hash(frozenset(self._terms.items()))
+        return hash((self._lo, self._w, self._data))
+
+    def _scaled(self, lo: int, c: int) -> "LaurentPoly1":
+        """``c * self`` moved to lowest exponent ``lo``; one pass."""
+        if c == 1:
+            return LaurentPoly1._make(lo, self._w, self._data)
+        w, data = self._w, self._data
+        k = w + (abs(c).bit_length() + 7) // 8
+        return LaurentPoly1._make(lo, *_from_int(_to_int(data, w, k) * c, k, len(data) // w))
 
     def __neg__(self) -> "LaurentPoly1":
-        return LaurentPoly1({e: -c for e, c in self._terms.items()})
+        if not self._data:
+            return self
+        return self._scaled(self._lo, -1)
+
+    def _combine(self, other: "LaurentPoly1", sign: int) -> "LaurentPoly1":
+        if not other._data:
+            return self
+        if not self._data:
+            return other._scaled(other._lo, sign)
+        if sign > 0 and len(self._data) == self._w:
+            self, other = other, self
+        (la, wa, a), (lb, wb, b) = (self._lo, self._w, self._data), (other._lo, other._w, other._data)
+        lo = min(la, lb)
+        if len(b) == wb:
+            # adding a monomial changes one coefficient
+            coeffs = [0] * (la - lo) + self._coeffs()
+            coeffs += [0] * (lb - lo + 1 - len(coeffs))
+            coeffs[lb - lo] += sign * int.from_bytes(b, "little", signed=True)
+            return LaurentPoly1._from_coeffs(lo, coeffs)
+        n = max(la + len(a) // wa, lb + len(b) // wb) - lo
+        k = max(wa, wb) + 1  # a sum needs one more bit than its terms
+        value = _to_int(a, wa, k) << (8 * k * (la - lo))
+        value += (sign * _to_int(b, wb, k)) << (8 * k * (lb - lo))
+        if not value:
+            return _ZERO
+        w, data = _from_int(value, k, n)
+        # cancellation may leave zero slots at either end
+        low = (len(data) - len(data.lstrip(b"\0"))) // w
+        high = (len(data) - len(data.rstrip(b"\0"))) // w
+        if low or high:
+            w, data = _narrow(data[low * w : len(data) - high * w], w)
+        return LaurentPoly1._make(lo + low, w, data)
 
     def __add__(self, other: "LaurentPoly1") -> "LaurentPoly1":
-        out = dict(self._terms)
-        for e, c in other._terms.items():
-            out[e] = out.get(e, 0) + c
-        return LaurentPoly1(out)
+        return self._combine(other, 1)
 
     def __sub__(self, other: "LaurentPoly1") -> "LaurentPoly1":
-        return self + (-other)
+        return self._combine(other, -1)
 
     def __mul__(self, other: "LaurentPoly1") -> "LaurentPoly1":
-        if not self._terms or not other._terms:
-            return LaurentPoly1()
-        out: dict[int, int] = {}
-        for e1, c1 in self._terms.items():
-            for e2, c2 in other._terms.items():
-                e = e1 + e2
-                out[e] = out.get(e, 0) + c1 * c2
-        return LaurentPoly1(out)
+        a, b = self._data, other._data
+        if not a or not b:
+            return _ZERO
+        wa, wb = self._w, other._w
+        na, nb = len(a) // wa, len(b) // wb
+        lo = self._lo + other._lo
+        if na == nb == 1:
+            c = int.from_bytes(a, "little", signed=True) * int.from_bytes(b, "little", signed=True)
+            return LaurentPoly1._from_coeffs(lo, [c])
+        if nb == 1:
+            return self._scaled(lo, int.from_bytes(b, "little", signed=True))
+        if na == 1:
+            return other._scaled(lo, int.from_bytes(a, "little", signed=True))
+        # |product coefficient| < min(na, nb) * 2^(8wa - 1) * 2^(8wb - 1)
+        k = (8 * wa + 8 * wb + min(na, nb).bit_length() + 6) // 8
+        value = _to_int(a, wa, k) * _to_int(b, wb, k)
+        return LaurentPoly1._make(lo, *_from_int(value, k, na + nb - 1))
 
     def __pow__(self, n: int) -> "LaurentPoly1":
         if n < 0:
@@ -155,65 +356,79 @@ class LaurentPoly1:
 
     def mirror(self) -> "LaurentPoly1":
         """Substitute ``A -> A^-1`` (the value of the mirror diagram)."""
-        return LaurentPoly1({-e: c for e, c in self._terms.items()})
+        w, data = self._w, self._data
+        if not data:
+            return self
+        out = bytearray(len(data))
+        for j in range(w):
+            out[j::w] = data[j::w][::-1]
+        return LaurentPoly1._make(-(self._lo + len(data) // w - 1), w, bytes(out))
 
     def exact_div(self, divisor: "LaurentPoly1") -> "LaurentPoly1":
         """Exact division, raising :class:`NotDivisible` on any remainder.
 
         Units ``c * A^k`` with ``|c| = 1`` always divide; in general the
-        quotient must again have integer coefficients.
+        quotient must again have integer coefficients.  The quotient of
+        the two Kronecker images is accepted only when multiplying it
+        back gives the dividend's image at a slot width that holds every
+        coefficient of quotient times divisor; otherwise schoolbook
+        division decides, and raises on any remainder.
         """
-        if divisor.is_zero:
+        b = divisor._data
+        if not b:
             raise NotDivisible("division by zero")
-        if self.is_zero:
-            return LaurentPoly1()
-        shift_n = min(self._terms)
-        shift_d = min(divisor._terms)
-        rem = {e - shift_n: c for e, c in self._terms.items()}
-        div = {e - shift_d: c for e, c in divisor._terms.items()}
-        deg_d = max(div)
-        lead_d = div[deg_d]
-        quot: dict[int, int] = {}
-        while rem:
-            deg_r = max(rem)
-            if deg_r < deg_d:
-                raise NotDivisible("nonzero remainder")
-            c, r = divmod(rem[deg_r], lead_d)
-            if r != 0:
-                raise NotDivisible("leading coefficient does not divide")
-            e = deg_r - deg_d
-            quot[e] = c
-            for ed, cd in div.items():
-                k = ed + e
-                v = rem.get(k, 0) - c * cd
-                if v:
-                    rem[k] = v
-                elif k in rem:
-                    del rem[k]
-        return LaurentPoly1({e + shift_n - shift_d: c for e, c in quot.items()})
+        a = self._data
+        if not a:
+            return _ZERO
+        wa, wb = self._w, divisor._w
+        na, nb = len(a) // wa, len(b) // wb
+        lo = self._lo - divisor._lo
+        nq = na - nb + 1
+        if nb == 1 and b in _UNIT_RUNS:
+            return self._scaled(lo, _UNIT_RUNS[b])
+        if nq < 1:
+            raise NotDivisible("nonzero remainder")
+        # slot widths for a quotient about as wide as dividend / divisor,
+        # then for one as wide as the dividend
+        span = min(nq, nb).bit_length() - 1
+        for wq in sorted({max(wa - wb + 1, 1), wa}):
+            k = (8 * wq + 8 * wb + span + 7) // 8
+            value, rem = divmod(_to_int(a, wa, k), _to_int(b, wb, k))
+            if rem:
+                break
+            try:
+                w, run = _from_int(value, k, nq)
+            except OverflowError:
+                continue
+            # quotient * divisor == dividend in the images, and k-byte slots
+            # hold every coefficient of quotient * divisor: so as polynomials
+            if 8 * w + 8 * wb + span <= 8 * k:
+                return LaurentPoly1._make(lo, w, run)
+        quot = _long_division(self._coeffs(), divisor._coeffs())
+        return LaurentPoly1._make(lo, *_pack(quot))
 
     def evaluate(self, value: Fraction | int) -> Fraction:
         """Evaluate at a nonzero rational; exact by construction."""
         value = Fraction(value)
         if value == 0:
             raise ZeroAssignment("A = 0 is outside the Laurent domain")
-        return sum((c * value**e for e, c in self._terms.items()), Fraction(0))
+        return sum((c * value**e for e, c in self.terms.items()), Fraction(0))
 
     def to_text(self) -> str:
-        if not self._terms:
+        terms = self.terms
+        if not terms:
             return "0"
         parts: list[str] = []
-        for e in sorted(self._terms, reverse=True):
-            c = self._terms[e]
+        for e in sorted(terms, reverse=True):
+            c = terms[e]
             parts.append(_join_sign(c, _monomial(abs(c), "A", e), first=not parts))
         return "".join(parts)
 
     def to_json(self) -> dict:
+        terms = self.terms
         return {
             "variable": "A",
-            "terms": [
-                {"exp": e, "coeff": self._terms[e]} for e in sorted(self._terms)
-            ],
+            "terms": [{"exp": e, "coeff": terms[e]} for e in sorted(terms)],
         }
 
     @classmethod
@@ -230,6 +445,11 @@ class LaurentPoly1:
         return f"LaurentPoly1({self.to_text()!r})"
 
 
+_ZERO = LaurentPoly1()
+_ONE = LaurentPoly1({0: 1})
+_UNIT_RUNS = {_pack([c])[1]: c for c in (1, -1)}
+
+
 class LaurentPoly2:
     """A Laurent polynomial in the two variables ``a`` and ``z``."""
 
@@ -238,7 +458,7 @@ class LaurentPoly2:
     def __init__(
         self, terms: Mapping[tuple[int, int], int] | Iterable[tuple[tuple[int, int], int]] = ()
     ):
-        if not isinstance(terms, Mapping):
+        if not isinstance(terms, dict):
             terms = dict(terms)
         self._terms = _clean(terms)
 

@@ -15,7 +15,7 @@ under-strand, not to the page.
 
 from __future__ import annotations
 
-from multiprocessing import Pool
+import os
 
 from .braid import BraidWord
 from .diagram import LinkDiagram, build_diagram
@@ -101,7 +101,9 @@ def bracket_state_sum(
     theta = _flatten(d)
     total = 1 << c
     if parallel and c >= 12:
-        jobs = 8
+        from multiprocessing import Pool
+
+        jobs = os.cpu_count() or 1
         step = (total + jobs - 1) // jobs
         ranges = [(theta, c, d.free_loops, i, min(i + step, total)) for i in range(0, total, step)]
         with Pool(processes=jobs) as pool:

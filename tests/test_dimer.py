@@ -194,12 +194,54 @@ def test_bareiss_matches_cofactor_on_sparse_8x8():
     assert bareiss_determinant([list(r) for r in rows]) == cofactor_det(rows)
 
 
-@settings(deadline=None, max_examples=40)
-@given(st.integers(0, 2**31 - 1), st.integers(2, 5))
-def test_bareiss_matches_cofactor_on_random_matrices(seed, n):
+@settings(deadline=None, max_examples=60)
+@given(
+    st.integers(0, 2**31 - 1),
+    st.integers(2, 7),
+    st.sampled_from(["random", "singular", "zero diagonal"]),
+)
+def test_bareiss_matches_cofactor_on_random_matrices(seed, n, kind):
     rng = random.Random(seed)
     rows = [[sparse_poly(rng) for _ in range(n)] for _ in range(n)]
-    assert bareiss_determinant([list(r) for r in rows]) == cofactor_det(rows)
+    if kind == "singular":
+        # the last row is a combination of the first and row n - 2
+        f, g = sparse_poly(rng), sparse_poly(rng)
+        rows[-1] = [f * x + g * y for x, y in zip(rows[0], rows[n - 2])]
+    elif kind == "zero diagonal":
+        # no pivot on the diagonal, so every pivot comes from a row swap
+        for i in range(n):
+            rows[i][i] = LaurentPoly1.zero()
+    expected = cofactor_det(rows)
+    assert bareiss_determinant([list(r) for r in rows]) == expected
+    if kind == "singular":
+        assert expected.is_zero
+
+
+def torus_bracket(q: int) -> LaurentPoly1:
+    """<T(2,q)> as the sum of its ladder words l D^(q-1) and d L^i D^(q-1-i)."""
+    letter = {
+        "L": LaurentPoly1({-3: -1}),
+        "D": LaurentPoly1({1: 1}),
+        "l": LaurentPoly1({3: -1}),
+        "d": LaurentPoly1({-1: 1}),
+    }
+    if q < 0:
+        return torus_bracket(-q).mirror()
+    total = letter["l"] * letter["D"] ** (q - 1)
+    for i in range(1, q):
+        total = total + letter["d"] * letter["L"] ** i * letter["D"] ** (q - 1 - i)
+    return total
+
+
+@pytest.mark.parametrize("text", ["s1^160 s2^160", "s1^-60 s2^-60 s3^-60"])
+def test_bracket_via_det_equals_connected_sum_product(text):
+    # the closure is a connected sum of (2, m_i) torus links, and the
+    # bracket is multiplicative under connected sum
+    word = parse_braid(text)
+    expected = LaurentPoly1.one()
+    for _, m in word.syllables:
+        expected = expected * torus_bracket(m)
+    assert bracket_via_det(word) == expected
 
 
 def test_fix_sign_without_matching_is_plus_one():

@@ -154,3 +154,138 @@ def test_mirror_evaluates_reciprocally(p, x):
     if x == 0:
         return
     assert p.mirror().evaluate(x) == p.evaluate(1 / x)
+
+
+# ------------------------------------------- packed core vs a dict reference
+#
+# The reference keeps terms in a plain dict, as the original implementation
+# did, and divides by the same schoolbook loop.
+
+def ref_clean(terms):
+    return {e: c for e, c in terms.items() if c}
+
+
+def ref_add(p, q, sign=1):
+    out = dict(p)
+    for e, c in q.items():
+        out[e] = out.get(e, 0) + sign * c
+    return ref_clean(out)
+
+
+def ref_mul(p, q):
+    out = {}
+    for e1, c1 in p.items():
+        for e2, c2 in q.items():
+            out[e1 + e2] = out.get(e1 + e2, 0) + c1 * c2
+    return ref_clean(out)
+
+
+def ref_div(p, q):
+    """Quotient dict, or the NotDivisible message the division raises."""
+    if not q:
+        return "division by zero"
+    if not p:
+        return {}
+    shift_n, shift_d = min(p), min(q)
+    rem = {e - shift_n: c for e, c in p.items()}
+    div = {e - shift_d: c for e, c in q.items()}
+    deg_d = max(div)
+    quot = {}
+    while rem:
+        deg_r = max(rem)
+        if deg_r < deg_d:
+            return "nonzero remainder"
+        c, r = divmod(rem[deg_r], div[deg_d])
+        if r:
+            return "leading coefficient does not divide"
+        quot[deg_r - deg_d] = c
+        for ed, cd in div.items():
+            k = ed + deg_r - deg_d
+            rem[k] = rem.get(k, 0) - c * cd
+            if not rem[k]:
+                del rem[k]
+    return {e + shift_n - shift_d: c for e, c in quot.items()}
+
+
+def outcome(fn):
+    try:
+        return fn().terms
+    except NotDivisible as exc:
+        return str(exc)
+
+
+wide_coeffs = st.one_of(
+    coeffs,
+    st.sampled_from([-128, 127, 128, -129, 2**63, -(2**63), 2**64 + 1]),
+    st.integers(min_value=-(2**140), max_value=2**140),
+)
+wide_terms = st.one_of(
+    st.dictionaries(exps, wide_coeffs, max_size=10),
+    st.tuples(exps, wide_coeffs).map(lambda t: {t[0]: t[1]}),
+    st.tuples(exps, st.sampled_from([1, -1])).map(lambda t: {t[0]: t[1]}),
+)
+
+
+@given(wide_terms, wide_terms)
+def test_packed_ring_ops_match_dict_reference(p, q):
+    a, b = LaurentPoly1(p), LaurentPoly1(q)
+    assert a.terms == ref_clean(p)
+    assert (a * b).terms == ref_mul(p, q)
+    assert (a + b).terms == ref_add(p, q)
+    assert (a - b).terms == ref_add(p, q, -1)
+    assert (-a).terms == {e: -c for e, c in ref_clean(p).items()}
+    assert a.mirror().terms == {-e: c for e, c in ref_clean(p).items()}
+    assert (a == b) == (ref_clean(p) == ref_clean(q))
+
+
+@given(wide_terms, wide_terms, wide_terms)
+def test_packed_exact_div_matches_dict_reference(p, q, r):
+    a, b = LaurentPoly1(p), LaurentPoly1(q)
+    assert outcome(lambda: a.exact_div(b)) == ref_div(ref_clean(p), ref_clean(q))
+    product = ref_add(ref_mul(p, q), r)
+    c = LaurentPoly1(product)
+    assert outcome(lambda: c.exact_div(b)) == ref_div(product, ref_clean(q))
+    if b:
+        assert (a * b).exact_div(b) == a
+
+
+@given(wide_terms, wide_terms)
+def test_packed_equality_and_hash_ignore_history(p, q):
+    a, b = LaurentPoly1(p), LaurentPoly1(q)
+    rebuilt = [
+        LaurentPoly1({**p, 99: 0}),
+        a + b - b,
+        (a * b - b * a) + a,
+        a.mirror().mirror(),
+        -(-a),
+        LaurentPoly1.parse(a.to_text()),
+    ]
+    for value in rebuilt:
+        assert value == a
+        assert hash(value) == hash(a)
+        assert value.terms == a.terms
+
+
+def test_exact_div_rejects_integer_quotients_that_are_not_polynomial():
+    # the Kronecker images divide (2^k / 2) but the polynomials do not
+    with pytest.raises(NotDivisible, match="leading coefficient does not divide"):
+        LaurentPoly1({1: 1}).exact_div(LaurentPoly1({0: 2}))
+    with pytest.raises(NotDivisible, match="nonzero remainder"):
+        LaurentPoly1({2: 1, 0: 1}).exact_div(LaurentPoly1({1: 1, 0: 1}))
+    with pytest.raises(NotDivisible, match="nonzero remainder"):
+        LaurentPoly1({0: 1}).exact_div(LaurentPoly1({1: 1, 0: 1}))
+
+
+@pytest.mark.parametrize("c", [127, -128, 2**15 - 1, -(2**63), 2**100])
+@pytest.mark.parametrize("n", [2, 12, 300])
+def test_products_of_runs_at_the_edge_of_their_width(c, n):
+    # every coefficient at the extreme of its slot: the products need the
+    # widest Kronecker slots the width bounds allow
+    p = {e: c for e in range(n)}
+    q = {e: -c if e % 3 else c for e in range(-5, n)}
+    a, b = LaurentPoly1(p), LaurentPoly1(q)
+    assert (a * b).terms == ref_mul(p, q)
+    assert (a * a).terms == ref_mul(p, p)
+    assert (a * b).exact_div(b) == a
+    assert (a + a).terms == ref_add(p, p)
+    assert (a - b).terms == ref_add(p, q, -1)
