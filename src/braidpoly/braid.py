@@ -52,10 +52,9 @@ class BraidWord:
 
     def is_homogeneous_family(self) -> bool:
         """True for the shape s1^m1 s2^m2 ... s(n-1)^m(n-1), one sign throughout."""
-        if self.strands < 2:
+        if self.strands < 2 or len(self.syllables) != self.strands - 1:
             return False
-        expected = list(range(1, self.strands))
-        if [i for i, _ in self.syllables] != expected:
+        if any(i != k for k, (i, _) in enumerate(self.syllables, start=1)):
             return False
         signs = {m > 0 for _, m in self.syllables}
         return len(signs) == 1
@@ -93,10 +92,13 @@ def parse_braid(text: str, strands: int | None = None) -> BraidWord:
         m = _TOKEN.match(token)
         if m is None:
             raise BraidSyntaxError(f"bad token {token!r} (expected s<k> or s<k>^<e>)")
-        index = int(m.group(1))
+        try:
+            index = int(m.group(1))
+            exponent = int(m.group(2)) if m.group(2) is not None else 1
+        except ValueError as exc:  # past the interpreter's digit limit for int()
+            raise BraidSyntaxError(f"number too long in {token[:40]!r}") from exc
         if index < 1:
             raise BraidSyntaxError(f"generator index must be >= 1 in {token!r}")
-        exponent = int(m.group(2)) if m.group(2) is not None else 1
         if exponent == 0:
             raise ZeroExponent(f"zero exponent in {token!r}")
         syllables.append((index, exponent))

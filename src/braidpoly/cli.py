@@ -21,7 +21,7 @@ import sys
 
 from .braid import BraidWord, parse_braid
 from .diagram import build_diagram
-from .dimer import adjacency_matrix, jones_via_det, prepare_overlay
+from .dimer import MAX_DET_CROSSINGS, adjacency_matrix, jones_via_det, prepare_overlay
 from .errors import (
     BraidSyntaxError,
     DisconnectedLink,
@@ -111,6 +111,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _load_word(args) -> BraidWord:
     word = parse_braid(args.braid, args.strands)
+    # no method reaches further than the determinant, so its cap bounds every command
+    if word.crossing_count > MAX_DET_CROSSINGS:
+        raise TooManyCrossings(
+            f"{word.crossing_count} crossings exceeds the determinant cap {MAX_DET_CROSSINGS}"
+        )
     if args.debug_diagram:
         diagram = build_diagram(word)
         print(json.dumps(diagram.to_debug_json(), indent=2), file=sys.stderr)
@@ -120,6 +125,8 @@ def _load_word(args) -> BraidWord:
 def _jones(word: BraidWord, method: str, cap: int, parallel: bool):
     if method == "det":
         return jones_via_det(word)
+    if word.crossing_count > cap:
+        raise TooManyCrossings(f"{word.crossing_count} crossings exceeds the {method} cap {cap}")
     if method == "statesum":
         return jones_state_sum(word, max_crossings=cap, parallel=parallel)
     correction = writhe_correction(word.writhe)

@@ -155,20 +155,19 @@ def close_braid(word: BraidWord) -> LinkDiagram:
     crossed at least once, which for a braid closure is exactly
     connectedness of the projection.
     """
-    expanded = word.crossings()
-    if not expanded:
+    if not word.syllables:
         if word.strands == 1:
             return _unknot_diagram(word)
         raise DisconnectedLink(f"{word.strands} crossingless strands close to a split union")
-    used = {gen for gen, _ in expanded}
-    if used != set(range(1, word.strands)):
+    # generators lie in 1..strands-1, so the count alone says whether all occur
+    if len({gen for gen, _ in word.syllables}) != word.strands - 1:
         raise DisconnectedLink(
             f"closure of {word.to_text()!r} on {word.strands} strands splits"
         )
 
     crossings = tuple(
         Crossing(cid, gen, sign)
-        for cid, (gen, sign) in enumerate(expanded, start=1)
+        for cid, (gen, sign) in enumerate(word.crossings(), start=1)
     )
     theta: dict[Dart, Dart] = {}
 

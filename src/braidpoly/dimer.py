@@ -5,24 +5,31 @@ this one gets it in polynomial time.  Steps: sign the overlay edges so
 every face of its embedding satisfies the dimer parity rule, build the
 crossing-by-face matrix of signed letter images, run sparse
 fraction-free (Bareiss) elimination over the Laurent ring, and repair
-the global sign from any single perfect matching.  Each block of the
-matrix is bidiagonal plus one dense column, so the elimination touches
-only the rows with a nonzero in the pivot column, and the number of
-ring operations grows about linearly with the crossing count.
+the global sign from any single perfect matching; the bracket is the
+product of these values over the overlay's connected components.
+
+Each matrix row is a map from column position to nonzero entry, filled
+from the overlay's crossing rotation; the elimination, the matching
+behind the sign fix and the symbolic expansion read those maps, and
+the dense ``entries`` view exists only for printing.  Each block is
+bidiagonal plus one dense column, so the elimination touches only the
+rows with a nonzero in the pivot column, and the number of ring
+operations grows about linearly with the crossing count.
 
 Signing is a GF(2) solve: one unknown per edge, one parity equation
 per traced face, where a face of boundary length 2k wants its negative
 edge count congruent to k + 1 mod 2.  All faces are included; for a
 component with an even vertex count the unbounded equation is the sum
-of the bounded ones, so nothing is overconstrained, and an odd
-component has no perfect matching at all (its determinant block is
-zero and signs stay +1).
+of the bounded ones, so nothing is overconstrained.  An odd component
+has no perfect matching at all: its faces are left out of the solve,
+its determinant block is zero and its signs stay +1.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from collections.abc import Mapping, Sequence
+from dataclasses import dataclass
 
 from .activity import ActivityWord
 from .braid import BraidWord
@@ -34,6 +41,7 @@ from .oracle import writhe_correction
 from .overlay import OverlayGraph, build_overlay, components, overlay_activity_letters
 
 __all__ = [
+    "MAX_DET_CROSSINGS",
     "OpCounter",
     "ModifiedAdjacencyMatrix",
     "embedding_faces",
@@ -47,6 +55,12 @@ __all__ = [
     "jones_via_det",
     "prepare_overlay",
 ]
+
+
+# The CLI refuses longer words for every braid command, since no method
+# reaches further; the slowest 1000-crossing shapes seen (s1 s2^999) take
+# about a second on a 2-core Xeon VM.
+MAX_DET_CROSSINGS = 1000
 
 
 @dataclass
@@ -66,29 +80,34 @@ class OpCounter:
 class ModifiedAdjacencyMatrix:
     """Rows follow crossing order, columns the overlay's face order.
 
-    Numeric entries are bracket-specialized polynomials; symbolic ones
-    are (kasteleyn sign, letter) pairs, with None for structural zero.
+    ``sparse`` holds one map per row from column position to nonzero
+    entry, in column order.  Numeric entries are bracket-specialized
+    polynomials; symbolic ones are (kasteleyn sign, letter) pairs.
     """
 
     rows: tuple[int, ...]
     cols: tuple[int, ...]
-    entries: tuple[tuple, ...]
+    sparse: tuple[dict[int, object], ...]
     symbolic: bool
 
-    def entry_text(self, i: int, j: int) -> str:
-        cell = self.entries[i][j]
-        if self.symbolic:
-            if cell is None:
-                return "0"
-            sign, letter = cell
-            return letter if sign > 0 else f"-{letter}"
-        return cell.to_text()
+    @property
+    def entries(self) -> tuple[tuple, ...]:
+        """Dense view, with None (symbolic) or the zero polynomial filled in."""
+        zero = None if self.symbolic else LaurentPoly1.zero()
+        return tuple(
+            tuple(row.get(j, zero) for j in range(len(self.cols))) for row in self.sparse
+        )
+
+    def _cell_text(self, cell) -> str:
+        if not self.symbolic:
+            return cell.to_text()
+        if cell is None:
+            return "0"
+        sign, letter = cell
+        return letter if sign > 0 else f"-{letter}"
 
     def to_text(self) -> str:
-        cells = [
-            [self.entry_text(i, j) for j in range(len(self.cols))]
-            for i in range(len(self.rows))
-        ]
+        cells = [[self._cell_text(cell) for cell in row] for row in self.entries]
         widths = [
             max(len(cells[i][j]) for i in range(len(self.rows)))
             for j in range(len(self.cols))
@@ -101,10 +120,7 @@ class ModifiedAdjacencyMatrix:
 
     def to_json(self) -> dict:
         if self.symbolic:
-            body = [
-                [self.entry_text(i, j) for j in range(len(self.cols))]
-                for i in range(len(self.rows))
-            ]
+            body = [[self._cell_text(cell) for cell in row] for row in self.entries]
         else:
             body = [[cell.to_json() for cell in row] for row in self.entries]
         return {
@@ -123,19 +139,10 @@ def embedding_faces(g: OverlayGraph) -> list[tuple[int, ...]]:
     length equals face boundary length.
     """
     succ: dict[tuple[int, int], tuple[int, int]] = {}
-    rotations: dict[tuple[str, int], tuple[int, ...]] = {}
-    for cid, rot in g.crossing_rotation.items():
-        rotations[("c", cid)] = rot
-    for fid, rot in g.face_rotation.items():
-        rotations[("f", fid)] = rot
-
-    def far_vertex(edge_idx: int, side: int) -> tuple[str, int]:
-        e = g.edges[edge_idx]
-        return ("c", e.crossing_id) if side == 0 else ("f", e.face_id)
-
     darts = [(i, side) for i in range(len(g.edges)) for side in (0, 1)]
     for i, side in darts:
-        rot = rotations[far_vertex(i, side)]
+        e = g.edges[i]
+        rot = g.crossing_rotation[e.crossing_id] if side == 0 else g.face_rotation[e.face_id]
         pos = rot.index(i)
         nxt = rot[(pos + 1) % len(rot)]
         # leave the far vertex along nxt, toward its other endpoint
@@ -157,67 +164,55 @@ def embedding_faces(g: OverlayGraph) -> list[tuple[int, ...]]:
 
 
 def kasteleyn_sign(g: OverlayGraph) -> OverlayGraph:
-    """Assign edge signs satisfying the face parity rule, in place."""
-    comp_of_edge: dict[int, int] = {}
-    comps = components(g)
-    vertex_counts = []
-    for ci, (cids, fids, eids) in enumerate(comps):
-        vertex_counts.append(len(cids) + len(fids))
-        for i in eids:
-            comp_of_edge[i] = ci
+    """Assign edge signs satisfying the face parity rule, in place.
 
-    equations: dict[int, list[tuple[int, int]]] = {ci: [] for ci in range(len(comps))}
+    Components share no edge, so one solve over the faces of all even
+    components equals a separate solve per component.
+    """
+    odd_edges: set[int] = set()
+    for cids, fids, eids in components(g):
+        if (len(cids) + len(fids)) % 2:
+            odd_edges.update(eids)
+    equations = []
     for walk in embedding_faces(g):
-        ci = comp_of_edge[walk[0]]
-        visits = Counter(walk)
-        mask = 0
-        for edge_idx, times in visits.items():
-            if times % 2:
-                mask |= 1 << edge_idx
-        rhs = (len(walk) // 2 + 1) % 2
-        equations[ci].append((mask, rhs))
-
-    solution = 0
-    for ci, (cids, fids, eids) in enumerate(comps):
-        if vertex_counts[ci] % 2:
+        if walk[0] in odd_edges:
             continue
-        solution |= _solve_gf2(equations[ci], eids)
+        mask = 0
+        for edge_idx in walk:  # an edge walked twice cancels
+            mask ^= 1 << edge_idx
+        equations.append((mask, (len(walk) // 2 + 1) % 2))
+    solution = _solve_gf2(equations)
     for i, e in enumerate(g.edges):
         e.kasteleyn_sign = -1 if (solution >> i) & 1 else 1
     return g
 
 
-def _solve_gf2(equations: list[tuple[int, int]], variables: tuple[int, ...]) -> int:
-    """One solution of the masked xor system, free variables zero."""
-    rows = [(mask, rhs) for mask, rhs in equations if mask or rhs]
+def _solve_gf2(equations: list[tuple[int, int]]) -> int:
+    """One solution of the masked xor system, free variables zero.
+
+    Each stored row is keyed by its lowest set bit, which no other
+    stored row has below its own key, so reducing a row by the pivots
+    of its successive lowest bits leaves it either new or empty.
+    """
     pivots: dict[int, tuple[int, int]] = {}
-    for mask, rhs in rows:
-        for var in variables:
-            bit = 1 << var
-            if not mask & bit:
-                continue
-            if var in pivots:
-                pmask, prhs = pivots[var]
-                mask ^= pmask
-                rhs ^= prhs
-            else:
-                pivots[var] = (mask, rhs)
+    for mask, rhs in equations:
+        while mask:
+            low = mask & -mask
+            if low not in pivots:
+                pivots[low] = (mask, rhs)
                 break
+            pmask, prhs = pivots[low]
+            mask ^= pmask
+            rhs ^= prhs
         else:
             if rhs:
                 raise NoKasteleynSolution("face parity system is inconsistent")
     solution = 0
-    for var in sorted(pivots, reverse=True):
-        mask, rhs = pivots[var]
-        value = rhs
-        rest = mask & ~(1 << var)
-        while rest:
-            low = rest & -rest
-            if solution & low:
-                value ^= 1
-            rest ^= low
-        if value:
-            solution |= 1 << var
+    for low in sorted(pivots, reverse=True):
+        mask, rhs = pivots[low]
+        # bits above low are settled already; low itself is still clear
+        if rhs ^ (mask & solution).bit_count() % 2:
+            solution |= low
     return solution
 
 
@@ -237,20 +232,17 @@ def adjacency_matrix(
     """Crossing-by-face matrix, over all of ``g`` or the given subsets."""
     row_ids = g.crossings if crossings is None else tuple(crossings)
     col_ids = g.faces if faces is None else tuple(faces)
-    lookup = {(e.crossing_id, e.face_id): e for e in g.edges}
-    zero = None if symbolic else LaurentPoly1.zero()
+    col_pos = {fid: j for j, fid in enumerate(col_ids)}
     rows = []
     for cid in row_ids:
-        row = []
-        for fid in col_ids:
-            e = lookup.get((cid, fid))
-            if e is None:
-                row.append(zero)
-            elif symbolic:
-                row.append((e.kasteleyn_sign, e.letter))
-            else:
-                row.append(_SIGNED_IMAGE[(e.kasteleyn_sign, e.letter)])
-        rows.append(tuple(row))
+        row = {}
+        for i in g.crossing_rotation[cid]:
+            e = g.edges[i]
+            j = col_pos.get(e.face_id)
+            if j is not None:
+                key = (e.kasteleyn_sign, e.letter)
+                row[j] = key if symbolic else _SIGNED_IMAGE[key]
+        rows.append(dict(sorted(row.items())))
     return ModifiedAdjacencyMatrix(row_ids, col_ids, tuple(rows), symbolic)
 
 
@@ -268,11 +260,12 @@ def _permutation_sign(order: list[int]) -> int:
 
 
 def bareiss_determinant(
-    rows: list[list[LaurentPoly1]], ops: OpCounter | None = None
+    rows: Sequence[Mapping[int, LaurentPoly1]], ops: OpCounter | None = None
 ) -> LaurentPoly1:
     """Sparse fraction-free elimination; every division is exact.
 
-    Rows are maps from column to nonzero entry.  Each step takes the
+    Rows are maps from column to entry; zero entries are dropped, and
+    columns are tried in each map's order.  Each step takes the
     pivot of least Markowitz cost (row count - 1) * (column count - 1)
     and updates only the rows with a nonzero in the pivot column.  A
     row updated at step t holds the step-t Bareiss values; an untouched
@@ -283,7 +276,7 @@ def bareiss_determinant(
     column orders in which pivots were taken.
     """
     n = len(rows)
-    live = {i: {j: x for j, x in enumerate(row) if x} for i, row in enumerate(rows)}
+    live = {i: {j: x for j, x in row.items() if x} for i, row in enumerate(rows)}
     in_col: dict[int, set[int]] = {}
     for i, row in live.items():
         for j in row:
@@ -367,7 +360,7 @@ def _divide(
 def determinant(m: ModifiedAdjacencyMatrix, ops: OpCounter | None = None) -> LaurentPoly1:
     if m.symbolic:
         raise ValueError("numeric entries required; use symbolic_determinant")
-    return bareiss_determinant([list(row) for row in m.entries], ops)
+    return bareiss_determinant(m.sparse, ops)
 
 
 def symbolic_determinant(m: ModifiedAdjacencyMatrix) -> dict[tuple, int]:
@@ -386,7 +379,7 @@ def symbolic_determinant(m: ModifiedAdjacencyMatrix) -> dict[tuple, int]:
             return Counter({(): 1})
         total: Counter = Counter()
         for pos, j in enumerate(cols):
-            cell = m.entries[row][j]
+            cell = m.sparse[row].get(j)
             if cell is None:
                 continue
             sign, letter = cell
@@ -404,33 +397,39 @@ def symbolic_determinant(m: ModifiedAdjacencyMatrix) -> dict[tuple, int]:
 
 
 def _maximum_matching(m: ModifiedAdjacencyMatrix) -> dict[int, int] | None:
-    """Row position -> column position, via augmenting paths."""
-    n = len(m.rows)
-    adjacency = []
-    for i in range(n):
-        row = m.entries[i]
-        adjacency.append(
-            [
-                j
-                for j in range(n)
-                if (row[j] is not None if m.symbolic else not row[j].is_zero)
-            ]
-        )
-    match_col: dict[int, int] = {}
+    """Row position -> column position, via augmenting paths.
 
-    def augment(i: int, banned: set[int]) -> bool:
-        for j in adjacency[i]:
-            if j in banned:
+    A row takes a free column when it has one.  Otherwise a depth-first
+    search looks for an augmenting path, kept on explicit stacks because
+    a path can be as long as the block, past the recursion limit.
+    """
+    adjacency = [sorted(row) for row in m.sparse]
+    match_col: dict[int, int] = {}
+    for root, row in enumerate(adjacency):
+        free = next((j for j in row if j not in match_col), None)
+        if free is not None:
+            match_col[free] = root
+            continue
+        # the columns taken along the path, and each path row's untried columns
+        cols, options = [], [iter(row)]
+        banned: set[int] = set()
+        while options:
+            j = next((j for j in options[-1] if j not in banned), None)
+            if j is None:
+                options.pop()
+                if cols:
+                    cols.pop()
                 continue
             banned.add(j)
-            if j not in match_col or augment(match_col[j], banned):
-                match_col[j] = i
-                return True
-        return False
-
-    for i in range(n):
-        if not augment(i, set()):
+            cols.append(j)
+            if j not in match_col:
+                break
+            options.append(iter(adjacency[match_col[j]]))
+        else:
             return None
+        i = root
+        for j in cols:  # each column on the path passes to the row before it
+            i, match_col[j] = match_col.get(j), i
     return {i: j for j, i in match_col.items()}
 
 
@@ -450,10 +449,11 @@ def fix_sign(m: ModifiedAdjacencyMatrix, g: OverlayGraph) -> int:
                 seen[j] = True
                 j = matching[j]
     perm_sign = 1 if (n - cycles) % 2 == 0 else -1
-    signs = {(e.crossing_id, e.face_id): e.kasteleyn_sign for e in g.edges}
     product = 1
     for i, j in matching.items():
-        product *= signs[(m.rows[i], m.cols[j])]
+        for k in g.crossing_rotation[m.rows[i]]:
+            if g.edges[k].face_id == m.cols[j]:
+                product *= g.edges[k].kasteleyn_sign
     return perm_sign * product
 
 
@@ -462,14 +462,9 @@ def prepare_overlay(word: BraidWord) -> OverlayGraph:
     return kasteleyn_sign(overlay_activity_letters(build_overlay(build_diagram(word))))
 
 
-def bracket_via_det(
-    word: BraidWord, per_component: bool = True, ops: OpCounter | None = None
-) -> LaurentPoly1:
-    """Bracket of the closure through the determinant pipeline."""
+def bracket_via_det(word: BraidWord, ops: OpCounter | None = None) -> LaurentPoly1:
+    """Bracket of the closure: the product of its sign-fixed block determinants."""
     g = prepare_overlay(word)
-    if not per_component:
-        m = adjacency_matrix(g)
-        return LaurentPoly1.term(fix_sign(m, g), 0) * determinant(m, ops)
     total = LaurentPoly1.one()
     for cids, fids, _ in components(g):
         m = adjacency_matrix(g, crossings=cids, faces=fids)
@@ -478,7 +473,5 @@ def bracket_via_det(
     return total
 
 
-def jones_via_det(
-    word: BraidWord, per_component: bool = True, ops: OpCounter | None = None
-) -> LaurentPoly1:
-    return writhe_correction(word.writhe) * bracket_via_det(word, per_component, ops)
+def jones_via_det(word: BraidWord, ops: OpCounter | None = None) -> LaurentPoly1:
+    return writhe_correction(word.writhe) * bracket_via_det(word, ops)

@@ -81,4 +81,4 @@ class TooManyCrossings(BraidPolyError):
 
 
 class TooLarge(BraidPolyError):
-    """Matrix dimension exceeds the cap for the reference determinant."""
+    """A size parameter (matrix dimension, torus index q) exceeds its cap."""

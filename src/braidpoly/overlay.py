@@ -13,6 +13,13 @@ touched slot serves as the representative corner, which also anchors
 the embedding (rotation at a crossing = corner order, rotation at a
 face = representative order along its boundary walk).
 
+Those two rotations are also the graph's incidence index:
+``crossing_rotation[cid]`` holds the edge positions at a crossing and
+``face_rotation[fid]`` each edge of a face exactly once.  Letters,
+components, matchings, the signed matrix and its sign fix all read
+incidence from them, so nothing downstream scans the whole edge list
+per vertex.
+
 Letters, per face: a shaded face gives L to its lowest-numbered
 crossing and D to the rest; an unshaded face gives l and d.  Negative
 checkerboard crossings bar their letters.  Summing the specialized
@@ -65,12 +72,6 @@ class OverlayGraph:
     crossing_signs: dict[int, int]
     deleted: tuple[int, int]
 
-    def edges_at_crossing(self, cid: int) -> list[int]:
-        return [i for i, e in enumerate(self.edges) if e.crossing_id == cid]
-
-    def edges_at_face(self, fid: int) -> list[int]:
-        return [i for i, e in enumerate(self.edges) if e.face_id == fid]
-
 
 def build_overlay(d: LinkDiagram) -> OverlayGraph:
     if not d.word.is_homogeneous_family():
@@ -112,13 +113,13 @@ def build_overlay(d: LinkDiagram) -> OverlayGraph:
     edges = tuple(OverlayEdge(k, fid, reps[(k, fid)]) for k, fid in edge_keys)
     edge_index = {(e.crossing_id, e.face_id): i for i, e in enumerate(edges)}
 
-    crossing_rotation = {}
-    for cid in crossings:
-        incident = sorted(
-            (i for i, e in enumerate(edges) if e.crossing_id == cid),
-            key=lambda i: edges[i].corner[1],
-        )
-        crossing_rotation[cid] = tuple(incident)
+    at_crossing: dict[int, list[int]] = {cid: [] for cid in crossings}
+    for i, e in enumerate(edges):
+        at_crossing[e.crossing_id].append(i)
+    crossing_rotation = {
+        cid: tuple(sorted(incident, key=lambda i: edges[i].corner[1]))
+        for cid, incident in at_crossing.items()
+    }
     face_rotation = {}
     for fid in faces:
         around = []
@@ -142,7 +143,7 @@ def build_overlay(d: LinkDiagram) -> OverlayGraph:
 
 def overlay_activity_letters(g: OverlayGraph) -> OverlayGraph:
     for fid in g.faces:
-        incident = sorted(g.edges_at_face(fid), key=lambda i: g.edges[i].crossing_id)
+        incident = sorted(g.face_rotation[fid], key=lambda i: g.edges[i].crossing_id)
         lead, others = ("L", "D") if fid in g.shaded else ("l", "d")
         for rank, i in enumerate(incident):
             base = lead if rank == 0 else others
@@ -164,8 +165,6 @@ def perfect_matchings(g: OverlayGraph, max_crossings: int = 24):
 
 
 def _matching_stream(g: OverlayGraph):
-    by_crossing = {cid: g.edges_at_crossing(cid) for cid in g.crossings}
-
     def recurse(unmatched: frozenset[int], used_faces: frozenset[int], chosen: tuple[int, ...]):
         if not unmatched:
             yield frozenset(chosen)
@@ -173,10 +172,10 @@ def _matching_stream(g: OverlayGraph):
         cid = min(
             unmatched,
             key=lambda c: sum(
-                1 for i in by_crossing[c] if g.edges[i].face_id not in used_faces
+                1 for i in g.crossing_rotation[c] if g.edges[i].face_id not in used_faces
             ),
         )
-        options = [i for i in by_crossing[cid] if g.edges[i].face_id not in used_faces]
+        options = [i for i in g.crossing_rotation[cid] if g.edges[i].face_id not in used_faces]
         for i in options:
             yield from recurse(
                 unmatched - {cid},
@@ -211,30 +210,35 @@ def components(g: OverlayGraph) -> list[tuple[tuple[int, ...], tuple[int, ...], 
     Orders within each tuple follow the graph's global order, and
     components are listed by their first crossing.
     """
-    adjacency: dict[tuple[str, int], list[tuple[str, int]]] = {}
-    for e in g.edges:
-        adjacency.setdefault(("c", e.crossing_id), []).append(("f", e.face_id))
-        adjacency.setdefault(("f", e.face_id), []).append(("c", e.crossing_id))
-    seen: set[tuple[str, int]] = set()
-    out = []
-    for cid in g.crossings:
-        start = ("c", cid)
-        if start in seen:
+    block_of: dict[int, int] = {}  # crossing id -> component
+    face_block: dict[int, int] = {}
+    blocks = 0
+    for start in g.crossings:
+        if start in block_of:
             continue
+        block_of[start] = blocks
         stack = [start]
-        block = set()
         while stack:
-            node = stack.pop()
-            if node in seen:
-                continue
-            seen.add(node)
-            block.add(node)
-            stack.extend(adjacency.get(node, []))
-        cids = tuple(c for c in g.crossings if ("c", c) in block)
-        fids = tuple(f for f in g.faces if ("f", f) in block)
-        eids = tuple(i for i, e in enumerate(g.edges) if ("c", e.crossing_id) in block)
-        out.append((cids, fids, eids))
-    return out
+            for i in g.crossing_rotation[stack.pop()]:
+                fid = g.edges[i].face_id
+                if fid in face_block:
+                    continue
+                face_block[fid] = blocks
+                for k in g.face_rotation[fid]:
+                    other = g.edges[k].crossing_id
+                    if other not in block_of:
+                        block_of[other] = blocks
+                        stack.append(other)
+        blocks += 1
+    out = [([], [], []) for _ in range(blocks)]
+    for cid in g.crossings:
+        out[block_of[cid]][0].append(cid)
+    for fid in g.faces:
+        if fid in face_block:
+            out[face_block[fid]][1].append(fid)
+    for i, e in enumerate(g.edges):
+        out[block_of[e.crossing_id]][2].append(i)
+    return [(tuple(cids), tuple(fids), tuple(eids)) for cids, fids, eids in out]
 
 
 def overlay_to_dot(g: OverlayGraph) -> str:

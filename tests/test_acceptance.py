@@ -17,7 +17,6 @@ from braidpoly.diagram import build_diagram
 from braidpoly.dimer import (
     OpCounter,
     adjacency_matrix,
-    bracket_via_det,
     determinant,
     embedding_faces,
     fix_sign,
@@ -179,9 +178,8 @@ def test_criterion_7_polynomial_time_at_desk_scale():
         counts = {}
         for c in (10, 20, 40, 80):
             ops = OpCounter()
-            bracket_via_det(
-                BraidWord(3, ((1, c // 2), (2, c // 2))), per_component=False, ops=ops
-            )
+            word = BraidWord(3, ((1, c // 2), (2, c // 2)))
+            determinant(adjacency_matrix(prepare_overlay(word)), ops)
             counts[c] = ops.total
         xs = [math.log(c) for c in counts]
         ys = [math.log(v) for v in counts.values()]

@@ -100,3 +100,8 @@ def test_writhe_additive_under_concatenation(u, v):
     strands = max(u.strands, v.strands)
     joined = BraidWord(strands, u.syllables + v.syllables)
     assert joined.writhe == u.writhe + v.writhe
+
+
+def test_family_check_does_not_grow_with_strands():
+    assert not BraidWord(10**12, ((1, 1),)).is_homogeneous_family()
+    assert BraidWord(3, ((1, 2), (2, 5))).is_homogeneous_family()

@@ -3,10 +3,15 @@ import subprocess
 import sys
 
 import jsonschema
+import pytest
 
+from braidpoly import cli
 from braidpoly.cli import run
+from braidpoly.dimer import MAX_DET_CROSSINGS
 from braidpoly.kauffman import F2q
-from braidpoly.laurent import LAURENT1_JSON_SCHEMA, LAURENT2_JSON_SCHEMA
+from braidpoly.laurent import LAURENT1_JSON_SCHEMA, LAURENT2_JSON_SCHEMA, LaurentPoly1
+
+from cli_child import run_child
 
 TREFOIL = "A^-4 + A^-12 - A^-16"
 
@@ -217,3 +222,59 @@ def test_console_script_entry_point():
     )
     assert result.returncode == 0
     assert result.stdout == TREFOIL + "\n"
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (("jones", "--braid", "s1^5000000"), 3),
+        (("bracket", "--braid", f"s1^{MAX_DET_CROSSINGS // 2 + 1} s2^{MAX_DET_CROSSINGS // 2}"), 3),
+        (("jones", "--braid", "s1^5000000", "--method", "statesum"), 3),
+        (("matrix", "--braid", "s1^5000000", "--symbolic"), 3),
+        (("graph", "--braid", "s1^5000000", "--kind", "tait"), 3),
+        (("verify", "--braid", "s1^5000000"), 3),
+        (("jones", "--braid", "s1", "--strands", str(10**12)), 2),
+        (("graph", "--braid", "s1", "--strands", str(10**12), "--debug-diagram"), 2),
+        (("kauffman", "--q", "600"), 3),
+        (("kauffman", "--q", "600", "--method", "prop"), 3),
+        (("kauffman", "--q", "600", "--method", "closed", "--normalized"), 3),
+    ],
+)
+def test_oversized_inputs_are_refused_quickly(argv, code):
+    result = run_child(*argv)
+    assert result.returncode == code
+    assert result.stdout == ""
+    assert "Traceback" not in result.stderr
+    assert "error" in result.stderr
+
+
+def test_det_cap_is_checked_on_the_syllables(capsys, monkeypatch):
+    calls = []
+    monkeypatch.setattr(cli, "jones_via_det", lambda word: calls.append(word) or LaurentPoly1.one())
+    code, _, _ = invoke(capsys, "jones", "--braid", f"s1^{MAX_DET_CROSSINGS}")
+    assert code == 0
+    assert len(calls) == 1
+    code, _, err = invoke(capsys, "jones", "--braid", f"s1^{MAX_DET_CROSSINGS + 1}")
+    assert code == 3
+    assert "cap" in err
+    assert len(calls) == 1
+
+
+def test_enumeration_caps_are_checked_before_building(capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a structure was built past the cap")
+
+    for name in ("build_diagram", "prepare_overlay", "jones_state_sum"):
+        monkeypatch.setattr(cli, name, refuse)
+    for method in ("statesum", "trees", "matchings"):
+        code, _, err = invoke(
+            capsys, "jones", "--braid", "s1^30", "--method", method, "--max-crossings", "29"
+        )
+        assert code == 3
+        assert "cap" in err
+
+
+def test_overlong_numbers_in_braid_text_exit_1(capsys):
+    code, _, err = invoke(capsys, "jones", "--braid", "s1^" + "9" * 5000)
+    assert code == 1
+    assert "too long" in err

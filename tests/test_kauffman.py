@@ -1,12 +1,15 @@
 import pytest
 
 from braidpoly.activity import ActivityWord
-from braidpoly.errors import BarredLetter, NegativeIndex
+from braidpoly.errors import BarredLetter, NegativeIndex, TooLarge
 from braidpoly.kauffman import (
+    MAX_Q,
     F2q,
     K2Q_METHODS,
     K2q,
     P,
+    _k2q_prop,
+    _k2q_skein,
     g,
     specialize_bracket,
     specialize_kauffman,
@@ -138,3 +141,18 @@ def test_negative_indices_rejected():
         F2q(0)
     with pytest.raises(ValueError):
         K2q(3, "magic")
+
+
+@pytest.mark.parametrize("method", K2Q_METHODS)
+def test_q_above_the_cap_is_refused_before_any_work(method):
+    _k2q_skein.cache_clear()
+    _k2q_prop.cache_clear()
+    with pytest.raises(TooLarge):
+        K2q(MAX_Q + 1, method)
+    with pytest.raises(TooLarge):
+        F2q(10**9, method)
+    assert _k2q_skein.cache_info().currsize == _k2q_prop.cache_info().currsize == 0
+
+
+def test_q_at_the_cap_is_computed():
+    assert K2q(MAX_Q, "skein") == K2q(MAX_Q, "closed")
