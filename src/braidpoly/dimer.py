@@ -14,7 +14,10 @@ behind the sign fix and the symbolic expansion read those maps, and
 the dense ``entries`` view exists only for printing.  Each block is
 bidiagonal plus one dense column, so the elimination touches only the
 rows with a nonzero in the pivot column, and the number of ring
-operations grows about linearly with the crossing count.
+operations grows about linearly with the crossing count.  Every entry
+is a unit +-A^k, and the elimination takes unit pivots first, from a
+heap keyed by (not a unit, Markowitz cost): its exact divisions stay
+shifts until only the dense face columns are left.
 
 Signing is a GF(2) solve: one unknown per edge, one parity equation
 per traced face, where a face of boundary length 2k wants its negative
@@ -30,6 +33,7 @@ from __future__ import annotations
 from collections import Counter
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 
 from .activity import ActivityWord
 from .braid import BraidWord
@@ -58,8 +62,9 @@ __all__ = [
 
 
 # The CLI refuses longer words for every braid command, since no method
-# reaches further; the slowest 1000-crossing shapes seen (s1 s2^999) take
-# about a second on a 2-core Xeon VM.
+# reaches further.  In process on a 2-core Xeon VM, s1 s2^999 takes about
+# 0.15 s; wide words are slower, as their dense face columns carry big
+# pivots: s1^50 ... s20^50 about 0.5 s, s1^10 ... s100^10 about 18 s.
 MAX_DET_CROSSINGS = 1000
 
 
@@ -264,16 +269,25 @@ def bareiss_determinant(
 ) -> LaurentPoly1:
     """Sparse fraction-free elimination; every division is exact.
 
-    Rows are maps from column to entry; zero entries are dropped, and
-    columns are tried in each map's order.  Each step takes the
-    pivot of least Markowitz cost (row count - 1) * (column count - 1)
-    and updates only the rows with a nonzero in the pivot column.  A
-    row updated at step t holds the step-t Bareiss values; an untouched
-    row would be rescaled by p_s / p_(s-1) at each later step s, so the
-    scalings are left implicit and settled in one exact division by
-    p_t when the row is next touched (p_s is the step-s pivot, p_0 = 1).
-    The determinant is the last pivot times the signs of the row and
-    column orders in which pivots were taken.
+    Rows are maps from column to entry; zero entries are dropped.  Each
+    step takes the pivot of least key (0 if the entry is a unit +-A^k
+    else 1, Markowitz cost (row count - 1) * (column count - 1)), so
+    pivots stay units, and divisions by them are shifts, until only the
+    dense Schur complement is left.  Candidates wait in a heap of
+    (key, row, column), ties going to the lowest (row, column): every
+    entry is pushed at the start, and every entry of the rows a step
+    updates is pushed after it.  A popped entry whose row or column is
+    gone is dropped, and one whose key has since grown is pushed back
+    with its current key; one whose column lost rows is taken at its
+    stored key, since columns are not pushed again when they shrink.
+
+    Each step updates only the rows with a nonzero in the pivot column.
+    A row updated at step t holds the step-t Bareiss values; an
+    untouched row would be rescaled by p_s / p_(s-1) at each later step
+    s, so the scalings are left implicit and settled in one exact
+    division by p_t when the row is next touched (p_s is the step-s
+    pivot, p_0 = 1).  The determinant is the last pivot times the signs
+    of the row and column orders in which pivots were taken.
     """
     n = len(rows)
     live = {i: {j: x for j, x in row.items() if x} for i, row in enumerate(rows)}
@@ -281,23 +295,29 @@ def bareiss_determinant(
     for i, row in live.items():
         for j in row:
             in_col.setdefault(j, set()).add(i)
+
+    def key(i: int, j: int) -> tuple[int, int, int, int]:
+        row = live[i]
+        return (0 if row[j].is_unit else 1, (len(row) - 1) * (len(in_col[j]) - 1), i, j)
+
+    queue = [key(i, j) for i, row in live.items() for j in row]
+    heapify(queue)
     level = dict.fromkeys(live, 0)
     pivots = [LaurentPoly1.one()]
     row_order: list[int] = []
     col_order: list[int] = []
     for step in range(1, n + 1):
-        best = None
-        for i, row in live.items():
-            reach = len(row) - 1
-            for j in row:
-                cost = reach * (len(in_col[j]) - 1)
-                if best is None or cost < best[0]:
-                    best = (cost, i, j)
-            if best is not None and best[0] == 0:
+        while queue:
+            stored = heappop(queue)
+            r, c = stored[2], stored[3]
+            if c not in live.get(r, ()):
+                continue
+            current = key(r, c)
+            if current <= stored:
                 break
-        if best is None:
+            heappush(queue, current)
+        else:
             return LaurentPoly1.zero()
-        _, r, c = best
         upper = live.pop(r)
         for j in upper:
             in_col[j].discard(r)
@@ -309,7 +329,8 @@ def bareiss_determinant(
             if ops:
                 ops.muls += len(upper)
         pivot = upper.pop(c)
-        for i in in_col.pop(c):
+        touched = in_col.pop(c)
+        for i in touched:
             row = live[i]
             left = -row.pop(c)
             divisor = pivots[level[i]] if level[i] else None
@@ -337,6 +358,9 @@ def bareiss_determinant(
             level[i] = step
             if ops:
                 ops.adds += 1
+        for i in touched:
+            for j in live[i]:
+                heappush(queue, key(i, j))
         pivots.append(pivot)
         row_order.append(r)
         col_order.append(c)

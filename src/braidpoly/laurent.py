@@ -7,7 +7,10 @@ All arithmetic is exact at any size.
 ``LaurentPoly1`` carries the determinant path, so it is built for long
 products and exact quotients: a lowest exponent plus the dense run of
 coefficients above it, packed into one ``bytes`` as two's-complement
-slots of the narrowest width that holds every coefficient.  Products and
+slots of the narrowest width that holds every coefficient.  The run
+steps by A^4 when every exponent lies in one class mod 4, as in every
+bracket value and every minor of its matrix, and by A otherwise; so
+such runs are about full instead of a quarter full.  Products and
 quotients go through Kronecker substitution, one big-int operation each:
 the run is read as an integer in base 2^(8k) for a slot width k wide
 enough for the result, and the result's digits are the coefficients.
@@ -108,13 +111,18 @@ def _slot_bits(k: int, byte: int, n: int) -> int:
     return int.from_bytes(slot * n, "little")
 
 
-def _to_int(data: bytes, w: int, k: int) -> int:
-    """Kronecker image at k-byte slots of a run packed in w-byte slots."""
+def _to_int(data: bytes, w: int, k: int, gap: int = 1) -> int:
+    """Kronecker image at k-byte slots of a run packed in w-byte slots.
+
+    With ``gap`` 4, a stride-4 run is read at stride 1: three zero slots
+    go between each two of its slots.
+    """
     n = len(data) // w
-    if k != w:
+    if k != w or gap != 1:
+        n = (n - 1) * gap + 1
         wide = bytearray(n * k)
         for j in range(w):
-            wide[j::k] = data[j::w]
+            wide[j :: k * gap] = data[j::w]
         data = wide
     u = int.from_bytes(data, "little")
     # each slot holds c mod 2^(8w); take 2^(8w) back off the negative ones
@@ -195,39 +203,60 @@ def _long_division(num: list[int], den: list[int]) -> list[int]:
 class LaurentPoly1:
     """A Laurent polynomial in the single variable ``A``.
 
-    Stored as the lowest exponent ``_lo`` and the dense run of
-    coefficients from there to the highest exponent, packed into
-    ``_data`` as slots of ``_w`` bytes: the narrowest two's-complement
-    width that holds every coefficient.  Both end slots are nonzero, so
-    equal polynomials have equal fields; zero is the empty run.  The run
-    grows with the exponent span, not the term count: bracket values and
-    the minors of their matrices fill about a quarter of their span.
+    Stored as the lowest exponent ``_lo``, a stride ``_s`` and the dense
+    run of coefficients of ``A^_lo``, ``A^(_lo + _s)``, ... up to the
+    highest exponent, packed into ``_data`` as slots of ``_w`` bytes:
+    the narrowest two's-complement width that holds every coefficient.
+    The stride is 4 when every exponent is congruent to ``_lo`` mod 4
+    (zero and monomials included), else 1.  Both end slots are nonzero,
+    so equal polynomials have equal fields; zero is the empty run.
+
+    Bracket values and the minors of their matrices keep all exponents
+    in one class mod 4, so their runs are stride 4 and about full.
+    Products, quotients and same-class sums of stride-4 values are
+    stride 4 by construction.  Any other result is computed at stride 1
+    and moved to stride 4 when only every fourth slot is nonzero, as in
+    ``(1 + A)(1 - A + A^2 - A^3) = 1 - A^4``.
     """
 
-    __slots__ = ("_lo", "_w", "_data")
+    __slots__ = ("_lo", "_s", "_w", "_data")
 
     def __init__(self, terms: Mapping[int, int] | Iterable[tuple[int, int]] = ()):
         if not isinstance(terms, dict):
             terms = dict(terms)
         terms = _clean(terms)
         if not terms:
-            self._lo, self._w, self._data = 0, 1, b""
+            self._lo, self._s, self._w, self._data = 0, 4, 1, b""
             return
         lo = min(terms)
-        coeffs = [0] * (max(terms) - lo + 1)
+        s = 4 if all((e - lo) % 4 == 0 for e in terms) else 1
+        coeffs = [0] * ((max(terms) - lo) // s + 1)
         for e, c in terms.items():
-            coeffs[e - lo] = c
-        self._lo = lo
+            coeffs[(e - lo) // s] = c
+        self._lo, self._s = lo, s
         self._w, self._data = _pack(coeffs)
 
     @classmethod
-    def _make(cls, lo: int, w: int, data: bytes) -> "LaurentPoly1":
+    def _make(cls, lo: int, s: int, w: int, data: bytes) -> "LaurentPoly1":
         out = object.__new__(cls)
-        out._lo, out._w, out._data = lo, w, data
+        out._lo, out._s, out._w, out._data = lo, s, w, data
         return out
 
     @classmethod
-    def _from_coeffs(cls, lo: int, coeffs: list[int]) -> "LaurentPoly1":
+    def _canonical(cls, lo: int, s: int, w: int, data: bytes) -> "LaurentPoly1":
+        """A run with nonzero ends, moved to stride 4 if it is one class."""
+        n = len(data) // w
+        if s == 1 and n % 4 == 1:
+            kept = bytearray((n // 4 + 1) * w)
+            for j in range(w):
+                kept[j::w] = data[j :: 4 * w]
+            # every other slot is zero when all nonzero bytes were kept
+            if data.count(0) - kept.count(0) == len(data) - len(kept):
+                s, data = 4, bytes(kept)
+        return cls._make(lo, s, w, data)
+
+    @classmethod
+    def _from_coeffs(cls, lo: int, coeffs: list[int], s: int = 1) -> "LaurentPoly1":
         start, stop = 0, len(coeffs)
         while start < stop and not coeffs[start]:
             start += 1
@@ -235,7 +264,7 @@ class LaurentPoly1:
             stop -= 1
         if start == stop:
             return _ZERO
-        return cls._make(lo + start, *_pack(coeffs[start:stop]))
+        return cls._canonical(lo + s * start, s, *_pack(coeffs[start:stop]))
 
     @classmethod
     def zero(cls) -> "LaurentPoly1":
@@ -250,17 +279,32 @@ class LaurentPoly1:
         """The monomial ``coeff * A^exp``."""
         return cls._from_coeffs(exp, [coeff])
 
-    def _coeffs(self) -> list[int]:
-        return _unpack(self._data, self._w)
+    def _coeffs(self, s: int = 4) -> list[int]:
+        """The run's coefficients, spread to stride ``s`` if that is finer."""
+        coeffs = _unpack(self._data, self._w)
+        if s < self._s and len(coeffs) > 1:
+            spread = [0] * (4 * len(coeffs) - 3)
+            spread[::4] = coeffs
+            return spread
+        return coeffs
+
+    def _span(self, s: int) -> int:
+        """Slot count of the run at stride ``s``."""
+        return (len(self._data) // self._w - 1) * (self._s // s) + 1
 
     @property
     def terms(self) -> dict[int, int]:
-        lo = self._lo
-        return {lo + i: c for i, c in enumerate(self._coeffs()) if c}
+        lo, s = self._lo, self._s
+        return {lo + s * i: c for i, c in enumerate(self._coeffs()) if c}
 
     @property
     def is_zero(self) -> bool:
         return not self._data
+
+    @property
+    def is_unit(self) -> bool:
+        """True for the units ``+-A^k`` of the Laurent ring."""
+        return self._data in _UNIT_RUNS
 
     def __bool__(self) -> bool:
         return bool(self._data)
@@ -269,19 +313,24 @@ class LaurentPoly1:
         if not isinstance(other, LaurentPoly1):
             return NotImplemented
         return (
-            self._lo == other._lo and self._w == other._w and self._data == other._data
+            self._lo == other._lo
+            and self._s == other._s
+            and self._w == other._w
+            and self._data == other._data
         )
 
     def __hash__(self) -> int:
-        return hash((self._lo, self._w, self._data))
+        return hash((self._lo, self._s, self._w, self._data))
 
     def _scaled(self, lo: int, c: int) -> "LaurentPoly1":
         """``c * self`` moved to lowest exponent ``lo``; one pass."""
         if c == 1:
-            return LaurentPoly1._make(lo, self._w, self._data)
+            return LaurentPoly1._make(lo, self._s, self._w, self._data)
         w, data = self._w, self._data
         k = w + (abs(c).bit_length() + 7) // 8
-        return LaurentPoly1._make(lo, *_from_int(_to_int(data, w, k) * c, k, len(data) // w))
+        return LaurentPoly1._make(
+            lo, self._s, *_from_int(_to_int(data, w, k) * c, k, len(data) // w)
+        )
 
     def __neg__(self) -> "LaurentPoly1":
         if not self._data:
@@ -297,16 +346,18 @@ class LaurentPoly1:
             self, other = other, self
         (la, wa, a), (lb, wb, b) = (self._lo, self._w, self._data), (other._lo, other._w, other._data)
         lo = min(la, lb)
+        s = 4 if self._s == other._s == 4 and (la - lb) % 4 == 0 else 1
         if len(b) == wb:
             # adding a monomial changes one coefficient
-            coeffs = [0] * (la - lo) + self._coeffs()
-            coeffs += [0] * (lb - lo + 1 - len(coeffs))
-            coeffs[lb - lo] += sign * int.from_bytes(b, "little", signed=True)
-            return LaurentPoly1._from_coeffs(lo, coeffs)
-        n = max(la + len(a) // wa, lb + len(b) // wb) - lo
+            coeffs = [0] * ((la - lo) // s) + self._coeffs(s)
+            coeffs += [0] * ((lb - lo) // s + 1 - len(coeffs))
+            coeffs[(lb - lo) // s] += sign * int.from_bytes(b, "little", signed=True)
+            return LaurentPoly1._from_coeffs(lo, coeffs, s)
+        hi = max(la + s * (self._span(s) - 1), lb + s * (other._span(s) - 1))
+        n = (hi - lo) // s + 1
         k = max(wa, wb) + 1  # a sum needs one more bit than its terms
-        value = _to_int(a, wa, k) << (8 * k * (la - lo))
-        value += (sign * _to_int(b, wb, k)) << (8 * k * (lb - lo))
+        value = _to_int(a, wa, k, self._s // s) << (8 * k * ((la - lo) // s))
+        value += (sign * _to_int(b, wb, k, other._s // s)) << (8 * k * ((lb - lo) // s))
         if not value:
             return _ZERO
         w, data = _from_int(value, k, n)
@@ -315,7 +366,7 @@ class LaurentPoly1:
         high = (len(data) - len(data.rstrip(b"\0"))) // w
         if low or high:
             w, data = _narrow(data[low * w : len(data) - high * w], w)
-        return LaurentPoly1._make(lo + low, w, data)
+        return LaurentPoly1._canonical(lo + s * low, s, w, data)
 
     def __add__(self, other: "LaurentPoly1") -> "LaurentPoly1":
         return self._combine(other, 1)
@@ -328,19 +379,20 @@ class LaurentPoly1:
         if not a or not b:
             return _ZERO
         wa, wb = self._w, other._w
-        na, nb = len(a) // wa, len(b) // wb
         lo = self._lo + other._lo
-        if na == nb == 1:
+        if len(a) == wa and len(b) == wb:
             c = int.from_bytes(a, "little", signed=True) * int.from_bytes(b, "little", signed=True)
-            return LaurentPoly1._from_coeffs(lo, [c])
-        if nb == 1:
+            return LaurentPoly1._make(lo, 4, *_pack([c]))
+        if len(b) == wb:
             return self._scaled(lo, int.from_bytes(b, "little", signed=True))
-        if na == 1:
+        if len(a) == wa:
             return other._scaled(lo, int.from_bytes(a, "little", signed=True))
+        s = 4 if self._s == other._s == 4 else 1
+        na, nb = self._span(s), other._span(s)
         # |product coefficient| < min(na, nb) * 2^(8wa - 1) * 2^(8wb - 1)
         k = (8 * wa + 8 * wb + min(na, nb).bit_length() + 6) // 8
-        value = _to_int(a, wa, k) * _to_int(b, wb, k)
-        return LaurentPoly1._make(lo, *_from_int(value, k, na + nb - 1))
+        value = _to_int(a, wa, k, self._s // s) * _to_int(b, wb, k, other._s // s)
+        return LaurentPoly1._canonical(lo, s, *_from_int(value, k, na + nb - 1))
 
     def __pow__(self, n: int) -> "LaurentPoly1":
         if n < 0:
@@ -362,17 +414,20 @@ class LaurentPoly1:
         out = bytearray(len(data))
         for j in range(w):
             out[j::w] = data[j::w][::-1]
-        return LaurentPoly1._make(-(self._lo + len(data) // w - 1), w, bytes(out))
+        hi = self._lo + self._s * (len(data) // w - 1)
+        return LaurentPoly1._make(-hi, self._s, w, bytes(out))
 
     def exact_div(self, divisor: "LaurentPoly1") -> "LaurentPoly1":
         """Exact division, raising :class:`NotDivisible` on any remainder.
 
         Units ``c * A^k`` with ``|c| = 1`` always divide; in general the
-        quotient must again have integer coefficients.  The quotient of
-        the two Kronecker images is accepted only when multiplying it
-        back gives the dividend's image at a slot width that holds every
-        coefficient of quotient times divisor; otherwise schoolbook
-        division decides, and raises on any remainder.
+        quotient must again have integer coefficients.  Two stride-4
+        runs divide as runs; otherwise both are read at stride 1.  The
+        quotient of the two Kronecker images is accepted only when
+        multiplying it back gives the dividend's image at a slot width
+        that holds every coefficient of quotient times divisor;
+        otherwise schoolbook division decides, and raises on any
+        remainder.
         """
         b = divisor._data
         if not b:
@@ -380,12 +435,13 @@ class LaurentPoly1:
         a = self._data
         if not a:
             return _ZERO
-        wa, wb = self._w, divisor._w
-        na, nb = len(a) // wa, len(b) // wb
         lo = self._lo - divisor._lo
-        nq = na - nb + 1
-        if nb == 1 and b in _UNIT_RUNS:
+        if b in _UNIT_RUNS:
             return self._scaled(lo, _UNIT_RUNS[b])
+        s = 4 if self._s == divisor._s == 4 else 1
+        wa, wb = self._w, divisor._w
+        na, nb = self._span(s), divisor._span(s)
+        nq = na - nb + 1
         if nq < 1:
             raise NotDivisible("nonzero remainder")
         # slot widths for a quotient about as wide as dividend / divisor,
@@ -393,7 +449,9 @@ class LaurentPoly1:
         span = min(nq, nb).bit_length() - 1
         for wq in sorted({max(wa - wb + 1, 1), wa}):
             k = (8 * wq + 8 * wb + span + 7) // 8
-            value, rem = divmod(_to_int(a, wa, k), _to_int(b, wb, k))
+            value, rem = divmod(
+                _to_int(a, wa, k, self._s // s), _to_int(b, wb, k, divisor._s // s)
+            )
             if rem:
                 break
             try:
@@ -403,9 +461,9 @@ class LaurentPoly1:
             # quotient * divisor == dividend in the images, and k-byte slots
             # hold every coefficient of quotient * divisor: so as polynomials
             if 8 * w + 8 * wb + span <= 8 * k:
-                return LaurentPoly1._make(lo, w, run)
-        quot = _long_division(self._coeffs(), divisor._coeffs())
-        return LaurentPoly1._make(lo, *_pack(quot))
+                return LaurentPoly1._canonical(lo, s, w, run)
+        quot = _long_division(self._coeffs(s), divisor._coeffs(s))
+        return LaurentPoly1._canonical(lo, s, *_pack(quot))
 
     def evaluate(self, value: Fraction | int) -> Fraction:
         """Evaluate at a nonzero rational; exact by construction."""

@@ -84,6 +84,13 @@ def _sum_states(theta: list[int], crossings: int, free_loops: int, lo: int, hi: 
     return terms
 
 
+def _check_cap(crossings: int, max_crossings: int) -> None:
+    if crossings > max_crossings:
+        raise TooManyCrossings(
+            f"{crossings} crossings exceeds the state-sum cap {max_crossings}"
+        )
+
+
 def bracket_state_sum(
     d: LinkDiagram,
     max_crossings: int = DEFAULT_CROSSING_CAP,
@@ -96,8 +103,7 @@ def bracket_state_sum(
     loop is traversed once in each direction, hence the halving.
     """
     c = d.crossing_count
-    if c > max_crossings:
-        raise TooManyCrossings(f"{c} crossings exceeds the state-sum cap {max_crossings}")
+    _check_cap(c, max_crossings)
     theta = _flatten(d)
     total = 1 << c
     if parallel and c >= 12:
@@ -126,7 +132,11 @@ def jones_state_sum(
     max_crossings: int = DEFAULT_CROSSING_CAP,
     parallel: bool = False,
 ) -> LaurentPoly1:
-    """Writhe-corrected bracket of the closure of ``w``."""
+    """Writhe-corrected bracket of the closure of ``w``.
+
+    The cap is checked on the word, before any diagram is built.
+    """
+    _check_cap(w.crossing_count, max_crossings)
     d = build_diagram(w)
     return writhe_correction(w.writhe) * bracket_state_sum(d, max_crossings, parallel)
 

@@ -197,16 +197,40 @@ def test_bareiss_matches_cofactor_on_sparse_8x8():
     assert bareiss_determinant([dict(enumerate(r)) for r in rows]) == cofactor_det(rows)
 
 
-@settings(deadline=None, max_examples=60)
+def unit_poly(rng: random.Random) -> LaurentPoly1:
+    return LaurentPoly1.term(rng.choice([-1, 1]), rng.randint(-3, 3))
+
+
+def general_poly(rng: random.Random) -> LaurentPoly1:
+    terms = {rng.randint(-4, 4): rng.choice([-3, -2, -1, 1, 2, 3]) for _ in range(3)}
+    return LaurentPoly1(terms) or LaurentPoly1.term(2, 0)
+
+
+@settings(deadline=None, max_examples=80)
 @given(
     st.integers(0, 2**31 - 1),
     st.integers(2, 7),
-    st.sampled_from(["random", "singular", "zero diagonal"]),
+    st.sampled_from(["random", "singular", "zero diagonal", "chain"]),
 )
 def test_bareiss_matches_cofactor_on_random_matrices(seed, n, kind):
     rng = random.Random(seed)
     rows = [[sparse_poly(rng) for _ in range(n)] for _ in range(n)]
-    if kind == "singular":
+    if kind == "chain":
+        # the shape of a crossing-by-face block: a unit bidiagonal, one or
+        # two dense columns of general entries, rows and columns shuffled
+        n += 3
+        z = LaurentPoly1.zero()
+        rows = [[z] * n for _ in range(n)]
+        for i in range(n):
+            rows[i][i] = unit_poly(rng)
+            if i + 1 < n:
+                rows[i][i + 1] = unit_poly(rng)
+        for j in rng.sample(range(n), rng.randint(1, 2)):
+            for i in range(n):
+                rows[i][j] = general_poly(rng)
+        row_perm, col_perm = rng.sample(range(n), n), rng.sample(range(n), n)
+        rows = [[rows[i][j] for j in col_perm] for i in row_perm]
+    elif kind == "singular":
         # the last row is a combination of the first and row n - 2
         f, g = sparse_poly(rng), sparse_poly(rng)
         rows[-1] = [f * x + g * y for x, y in zip(rows[0], rows[n - 2])]
@@ -242,6 +266,17 @@ def test_bracket_via_det_equals_connected_sum_product(text):
     # the closure is a connected sum of (2, m_i) torus links, and the
     # bracket is multiplicative under connected sum
     word = parse_braid(text)
+    expected = LaurentPoly1.one()
+    for _, m in word.syllables:
+        expected = expected * torus_bracket(m)
+    assert bracket_via_det(word) == expected
+
+
+@settings(deadline=None, max_examples=30)
+@given(family_words(max_strands=7, max_exponent=60))
+def test_bracket_via_det_equals_connected_sum_product_at_scale(word):
+    # 1-6 generators, each exponent drawn on its own from 1..60, one sign
+    # per word as the family requires; the product is computed apart
     expected = LaurentPoly1.one()
     for _, m in word.syllables:
         expected = expected * torus_bracket(m)
@@ -311,6 +346,15 @@ def test_op_counter_growth_is_subquartic():
 
     slope = math.log(counts[40] / counts[20]) / math.log(2)
     assert 0 < slope < 4
+
+
+def test_unit_first_pivots_keep_divisions_few():
+    # a pivot that is not a unit makes every later catch-up a division;
+    # the Markowitz order alone took 148 here
+    word = parse_braid(" ".join(f"s{i}^10" for i in range(1, 11)))
+    ops = OpCounter()
+    determinant(adjacency_matrix(prepare_overlay(word)), ops)
+    assert ops.divs < 74
 
 
 def test_kasteleyn_is_idempotent_enough():

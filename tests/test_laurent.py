@@ -226,20 +226,30 @@ wide_terms = st.one_of(
 )
 
 
-@given(wide_terms, wide_terms)
-def test_packed_ring_ops_match_dict_reference(p, q):
+# every exponent in one residue class mod 4, as in bracket values
+one_class_terms = st.tuples(
+    st.integers(0, 3), st.dictionaries(st.integers(-4, 4), wide_coeffs, max_size=8)
+).map(lambda t: {4 * e + t[0]: c for e, c in t[1].items()})
+
+
+def check_ring_ops(p, q):
+    # comparing values, not only terms, also checks that each result's
+    # stride is the one its terms call for
     a, b = LaurentPoly1(p), LaurentPoly1(q)
     assert a.terms == ref_clean(p)
     assert (a * b).terms == ref_mul(p, q)
+    assert a * b == LaurentPoly1(ref_mul(p, q))
     assert (a + b).terms == ref_add(p, q)
+    assert a + b == LaurentPoly1(ref_add(p, q))
     assert (a - b).terms == ref_add(p, q, -1)
+    assert a - b == LaurentPoly1(ref_add(p, q, -1))
     assert (-a).terms == {e: -c for e, c in ref_clean(p).items()}
     assert a.mirror().terms == {-e: c for e, c in ref_clean(p).items()}
+    assert a.mirror() == LaurentPoly1({-e: c for e, c in p.items()})
     assert (a == b) == (ref_clean(p) == ref_clean(q))
 
 
-@given(wide_terms, wide_terms, wide_terms)
-def test_packed_exact_div_matches_dict_reference(p, q, r):
+def check_exact_div(p, q, r):
     a, b = LaurentPoly1(p), LaurentPoly1(q)
     assert outcome(lambda: a.exact_div(b)) == ref_div(ref_clean(p), ref_clean(q))
     product = ref_add(ref_mul(p, q), r)
@@ -247,6 +257,67 @@ def test_packed_exact_div_matches_dict_reference(p, q, r):
     assert outcome(lambda: c.exact_div(b)) == ref_div(product, ref_clean(q))
     if b:
         assert (a * b).exact_div(b) == a
+
+
+@given(wide_terms, wide_terms)
+def test_packed_ring_ops_match_dict_reference(p, q):
+    check_ring_ops(p, q)
+
+
+@given(one_class_terms, st.one_of(one_class_terms, wide_terms))
+def test_packed_ring_ops_match_dict_reference_on_one_class_operands(p, q):
+    # same class, different classes, and one class against mixed classes
+    check_ring_ops(p, q)
+    check_ring_ops(q, p)
+
+
+@given(wide_terms, wide_terms, wide_terms)
+def test_packed_exact_div_matches_dict_reference(p, q, r):
+    check_exact_div(p, q, r)
+
+
+@given(
+    one_class_terms,
+    st.one_of(one_class_terms, wide_terms),
+    st.one_of(st.just({}), one_class_terms, wide_terms),
+)
+def test_packed_exact_div_matches_dict_reference_on_one_class_operands(p, q, r):
+    check_exact_div(p, q, r)
+    check_exact_div(q, p, r)
+
+
+def test_one_class_value_reached_by_cancellation_equals_its_own_build():
+    # (1 + A)(1 - A + A^2 - A^3) = 1 - A^4: stride-1 factors, stride-4 product
+    product = LaurentPoly1({0: 1, 1: 1}) * LaurentPoly1({0: 1, 1: -1, 2: 1, 3: -1})
+    expected = LaurentPoly1({0: 1, 4: -1})
+    assert product == expected
+    assert hash(product) == hash(expected)
+    assert product.to_text() == "-A^4 + 1"
+    # a sum whose other class cancels, and a quotient of stride-1 values
+    total = LaurentPoly1({0: 1, 1: 1, 8: 3}) - LaurentPoly1({1: 1})
+    assert total == LaurentPoly1({0: 1, 8: 3})
+    assert hash(total) == hash(LaurentPoly1({0: 1, 8: 3}))
+    quotient = LaurentPoly1({0: 1, 8: -1}).exact_div(LaurentPoly1({0: 1, 1: 1}))
+    assert quotient.terms == ref_div({0: 1, 8: -1}, {0: 1, 1: 1})
+    assert quotient * LaurentPoly1({0: 1, 1: 1}) == LaurentPoly1({0: 1, 8: -1})
+
+
+@pytest.mark.parametrize(
+    "dividend, divisor, message",
+    [
+        ({0: 1, 4: 1}, {0: 1, 4: 2}, "leading coefficient does not divide"),
+        ({0: 1, 8: 1}, {0: 1, 4: 1}, "nonzero remainder"),
+        ({0: 1, 1: 1}, {0: 1, 4: 1}, "nonzero remainder"),
+        ({4: 1}, {0: 1, 8: 1}, "nonzero remainder"),
+        ({0: 3, 8: 6}, {0: 2}, "leading coefficient does not divide"),
+        ({3: 1, 7: 2, 11: 1}, {1: 1, 5: 3}, "leading coefficient does not divide"),
+        ({3: 1, 7: 2, 11: 1}, {1: 1, 5: 1, 9: 1}, "nonzero remainder"),
+    ],
+)
+def test_not_divisible_messages_on_stride_4_divisors(dividend, divisor, message):
+    assert ref_div(dividend, divisor) == message
+    with pytest.raises(NotDivisible, match=message):
+        LaurentPoly1(dividend).exact_div(LaurentPoly1(divisor))
 
 
 @given(wide_terms, wide_terms)

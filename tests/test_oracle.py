@@ -69,6 +69,20 @@ def test_crossing_cap():
         bracket_state_sum(build_diagram(word), max_crossings=24)
 
 
+def test_jones_state_sum_checks_the_cap_before_building(monkeypatch):
+    import braidpoly.oracle as oracle
+
+    def refuse(word):
+        raise AssertionError("a diagram was built past the cap")
+
+    monkeypatch.setattr(oracle, "build_diagram", refuse)
+    word = BraidWord(2, ((1, 25),))
+    with pytest.raises(TooManyCrossings, match="25 crossings exceeds the state-sum cap 24"):
+        jones_state_sum(word)
+    with pytest.raises(TooManyCrossings, match="cap 9"):
+        jones_state_sum(parse_braid("s1^10"), max_crossings=9)
+
+
 def test_parallel_matches_serial():
     d = build_diagram(parse_braid("s1^4 s2^4 s3^4"))
     serial = bracket_state_sum(d)
