@@ -21,7 +21,7 @@ import sys
 
 from .braid import BraidWord, parse_braid
 from .diagram import build_diagram
-from .dimer import MAX_DET_CROSSINGS, adjacency_matrix, jones_via_det, prepare_overlay
+from .dimer import MAX_DET_CROSSINGS, adjacency_matrix, bracket_via_det, prepare_overlay
 from .errors import (
     BraidSyntaxError,
     DisconnectedLink,
@@ -33,7 +33,7 @@ from .errors import (
     ZeroExponent,
 )
 from .kauffman import F2q, K2Q_METHODS, K2q
-from .oracle import bracket_state_sum, jones_state_sum, writhe_correction
+from .oracle import bracket_state_sum, writhe_correction
 from .overlay import overlay_to_dot, partition_function, perfect_matchings
 from .tait import build_tait, dual_tait, spanning_trees, tait_to_dot, thistlethwaite_sum
 
@@ -122,18 +122,16 @@ def _load_word(args) -> BraidWord:
     return word
 
 
-def _jones(word: BraidWord, method: str, cap: int, parallel: bool):
+def _bracket(word: BraidWord, method: str, cap: int, parallel: bool):
     if method == "det":
-        return jones_via_det(word)
+        return bracket_via_det(word)
     if word.crossing_count > cap:
         raise TooManyCrossings(f"{word.crossing_count} crossings exceeds the {method} cap {cap}")
     if method == "statesum":
-        return jones_state_sum(word, max_crossings=cap, parallel=parallel)
-    correction = writhe_correction(word.writhe)
+        return bracket_state_sum(build_diagram(word), max_crossings=cap, parallel=parallel)
     if method == "matchings":
-        return correction * partition_function(prepare_overlay(word), max_crossings=cap)
-    g = build_tait(build_diagram(word))
-    return correction * thistlethwaite_sum(g, max_edges=cap)
+        return partition_function(prepare_overlay(word), max_crossings=cap)
+    return thistlethwaite_sum(build_tait(build_diagram(word)), max_edges=cap)
 
 
 def _emit_poly(poly, fmt: str) -> int:
@@ -144,17 +142,12 @@ def _emit_poly(poly, fmt: str) -> int:
     return 0
 
 
-def _cmd_jones(args) -> int:
+def _cmd_polynomial(args) -> int:
     word = _load_word(args)
-    value = _jones(word, args.method, args.max_crossings, args.parallel)
+    value = _bracket(word, args.method, args.max_crossings, args.parallel)
+    if args.command == "jones":
+        value = writhe_correction(word.writhe) * value
     return _emit_poly(value, args.format)
-
-
-def _cmd_bracket(args) -> int:
-    word = _load_word(args)
-    value = _jones(word, args.method, args.max_crossings, args.parallel)
-    # the writhe factor is a unit whose inverse is itself at -writhe
-    return _emit_poly(value * writhe_correction(-word.writhe), args.format)
 
 
 def _cmd_kauffman(args) -> int:
@@ -164,11 +157,11 @@ def _cmd_kauffman(args) -> int:
 
 def _cmd_matrix(args) -> int:
     word = _load_word(args)
-    m = adjacency_matrix(prepare_overlay(word), symbolic=args.symbolic)
+    m = adjacency_matrix(prepare_overlay(word))
     if args.format == "json":
-        print(json.dumps(m.to_json(), indent=2))
+        print(json.dumps(m.to_json(args.symbolic), indent=2))
     else:
-        print(m.to_text())
+        print(m.to_text(args.symbolic))
     return 0
 
 
@@ -218,7 +211,8 @@ def _cmd_graph(args) -> int:
 
 
 def _verify_word(word: BraidWord, cap: int, parallel: bool, label: str | None = None) -> bool:
-    values = {m: _jones(word, m, cap, parallel) for m in JONES_METHODS}
+    correction = writhe_correction(word.writhe)
+    values = {m: correction * _bracket(word, m, cap, parallel) for m in JONES_METHODS}
     reference = values["det"]
     ok = all(v == reference for v in values.values())
     if label is None:
@@ -266,8 +260,8 @@ def _cmd_verify(args) -> int:
 
 
 _COMMANDS = {
-    "jones": _cmd_jones,
-    "bracket": _cmd_bracket,
+    "jones": _cmd_polynomial,
+    "bracket": _cmd_polynomial,
     "kauffman": _cmd_kauffman,
     "matrix": _cmd_matrix,
     "graph": _cmd_graph,

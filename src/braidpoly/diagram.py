@@ -43,7 +43,6 @@ __all__ = [
     "close_braid",
     "checkerboard",
     "build_diagram",
-    "rotate_ccw",
     "rotate_cw",
 ]
 
@@ -54,11 +53,6 @@ _COMPASS = {
     1: {"NE": 0, "NW": 1, "SW": 2, "SE": 3},
     -1: {"NE": 3, "NW": 0, "SW": 1, "SE": 2},
 }
-
-
-def rotate_ccw(dart: Dart) -> Dart:
-    k, s = dart
-    return (k, (s + 1) % 4)
 
 
 def rotate_cw(dart: Dart) -> Dart:
@@ -111,9 +105,6 @@ class LinkDiagram:
                 seen.add(arc)
                 out.append(arc)
         return out
-
-    def crossing(self, cid: int) -> Crossing:
-        return self.crossings[cid - 1]
 
     def face_of(self, dart: Dart) -> Face:
         return self.faces[self.face_index[dart]]

@@ -3,21 +3,23 @@
 The enumeration modules get the bracket by listing trees or matchings;
 this one gets it in polynomial time.  Steps: sign the overlay edges so
 every face of its embedding satisfies the dimer parity rule, build the
-crossing-by-face matrix of signed letter images, run sparse
+crossing-by-face matrix of signed letters, evaluate it and run sparse
 fraction-free (Bareiss) elimination over the Laurent ring, and repair
 the global sign from any single perfect matching; the bracket is the
 product of these values over the overlay's connected components.
 
-Each matrix row is a map from column position to nonzero entry, filled
-from the overlay's crossing rotation; the elimination, the matching
-behind the sign fix and the symbolic expansion read those maps, and
-the dense ``entries`` view exists only for printing.  Each block is
-bidiagonal plus one dense column, so the elimination touches only the
-rows with a nonzero in the pivot column, and the number of ring
-operations grows about linearly with the crossing count.  Every entry
-is a unit +-A^k, and the elimination takes unit pivots first, from a
-heap keyed by (not a unit, Markowitz cost): its exact divisions stay
-shifts until only the dense face columns are left.
+Each matrix row is a map from column position to nonzero cell, a
+(Kasteleyn sign, letter) pair filled from the overlay's crossing
+rotation.  ``determinant`` is the one place a cell becomes its signed
+bracket image; the matching behind the sign fix and the symbolic
+expansion read the cells as they are, and the dense ``entries`` view
+exists only for printing.  Each block is bidiagonal plus one dense
+column, so the elimination touches only the rows with a nonzero in the
+pivot column, and the number of ring operations grows about linearly
+with the crossing count.  Every image is a unit +-A^k, and the
+elimination takes unit pivots first, from a heap keyed by (not a unit,
+Markowitz cost): its exact divisions stay shifts until only the dense
+face columns are left.
 
 Signing is a GF(2) solve: one unknown per edge, one parity equation
 per traced face, where a face of boundary length 2k wants its negative
@@ -81,38 +83,52 @@ class OpCounter:
         return self.muls + self.adds + self.divs
 
 
+_SIGNED_IMAGE = {
+    (sign, letter): image if sign > 0 else -image
+    for letter, image in BRACKET_IMAGE.items()
+    for sign in (1, -1)
+}
+
+
+def _letter_text(cell: tuple[int, str] | None) -> str:
+    if cell is None:
+        return "0"
+    sign, letter = cell
+    return letter if sign > 0 else f"-{letter}"
+
+
 @dataclass(frozen=True)
 class ModifiedAdjacencyMatrix:
     """Rows follow crossing order, columns the overlay's face order.
 
     ``sparse`` holds one map per row from column position to nonzero
-    entry, in column order.  Numeric entries are bracket-specialized
-    polynomials; symbolic ones are (kasteleyn sign, letter) pairs.
+    cell, in column order.  A cell is a (kasteleyn sign, letter) pair,
+    as in the paper's matrix of letters; ``determinant`` evaluates it to
+    its signed bracket image, and the renderers show either form.
     """
 
     rows: tuple[int, ...]
     cols: tuple[int, ...]
-    sparse: tuple[dict[int, object], ...]
-    symbolic: bool
+    sparse: tuple[dict[int, tuple[int, str]], ...]
 
     @property
     def entries(self) -> tuple[tuple, ...]:
-        """Dense view, with None (symbolic) or the zero polynomial filled in."""
-        zero = None if self.symbolic else LaurentPoly1.zero()
-        return tuple(
-            tuple(row.get(j, zero) for j in range(len(self.cols))) for row in self.sparse
-        )
+        """Dense view of the cells, with None for a zero."""
+        return tuple(tuple(row.get(j) for j in range(len(self.cols))) for row in self.sparse)
 
-    def _cell_text(self, cell) -> str:
-        if not self.symbolic:
-            return cell.to_text()
-        if cell is None:
-            return "0"
-        sign, letter = cell
-        return letter if sign > 0 else f"-{letter}"
+    def _render(self, symbolic: bool, numeric) -> list[list]:
+        """Each cell as letter text, or its signed image through ``numeric``."""
+        zero = LaurentPoly1.zero()
+        return [
+            [
+                _letter_text(cell) if symbolic else numeric(_SIGNED_IMAGE.get(cell, zero))
+                for cell in row
+            ]
+            for row in self.entries
+        ]
 
-    def to_text(self) -> str:
-        cells = [[self._cell_text(cell) for cell in row] for row in self.entries]
+    def to_text(self, symbolic: bool = False) -> str:
+        cells = self._render(symbolic, LaurentPoly1.to_text)
         widths = [
             max(len(cells[i][j]) for i in range(len(self.rows)))
             for j in range(len(self.cols))
@@ -123,16 +139,12 @@ class ModifiedAdjacencyMatrix:
             lines.append("[ " + "  ".join(padded) + " ]")
         return "\n".join(lines)
 
-    def to_json(self) -> dict:
-        if self.symbolic:
-            body = [[self._cell_text(cell) for cell in row] for row in self.entries]
-        else:
-            body = [[cell.to_json() for cell in row] for row in self.entries]
+    def to_json(self, symbolic: bool = False) -> dict:
         return {
             "rows": list(self.rows),
             "cols": list(self.cols),
-            "symbolic": self.symbolic,
-            "entries": body,
+            "symbolic": symbolic,
+            "entries": self._render(symbolic, LaurentPoly1.to_json),
         }
 
 
@@ -221,20 +233,12 @@ def _solve_gf2(equations: list[tuple[int, int]]) -> int:
     return solution
 
 
-_SIGNED_IMAGE = {
-    (sign, letter): image if sign > 0 else -image
-    for letter, image in BRACKET_IMAGE.items()
-    for sign in (1, -1)
-}
-
-
 def adjacency_matrix(
     g: OverlayGraph,
-    symbolic: bool = False,
     crossings: tuple[int, ...] | None = None,
     faces: tuple[int, ...] | None = None,
 ) -> ModifiedAdjacencyMatrix:
-    """Crossing-by-face matrix, over all of ``g`` or the given subsets."""
+    """Crossing-by-face matrix of letters, over all of ``g`` or the given subsets."""
     row_ids = g.crossings if crossings is None else tuple(crossings)
     col_ids = g.faces if faces is None else tuple(faces)
     col_pos = {fid: j for j, fid in enumerate(col_ids)}
@@ -245,10 +249,9 @@ def adjacency_matrix(
             e = g.edges[i]
             j = col_pos.get(e.face_id)
             if j is not None:
-                key = (e.kasteleyn_sign, e.letter)
-                row[j] = key if symbolic else _SIGNED_IMAGE[key]
+                row[j] = (e.kasteleyn_sign, e.letter)
         rows.append(dict(sorted(row.items())))
-    return ModifiedAdjacencyMatrix(row_ids, col_ids, tuple(rows), symbolic)
+    return ModifiedAdjacencyMatrix(row_ids, col_ids, tuple(rows))
 
 
 def _permutation_sign(order: list[int]) -> int:
@@ -382,9 +385,9 @@ def _divide(
 
 
 def determinant(m: ModifiedAdjacencyMatrix, ops: OpCounter | None = None) -> LaurentPoly1:
-    if m.symbolic:
-        raise ValueError("numeric entries required; use symbolic_determinant")
-    return bareiss_determinant(m.sparse, ops)
+    """Determinant after evaluation: each cell becomes its signed bracket image."""
+    images = [{j: _SIGNED_IMAGE[cell] for j, cell in row.items()} for row in m.sparse]
+    return bareiss_determinant(images, ops)
 
 
 def symbolic_determinant(m: ModifiedAdjacencyMatrix) -> dict[tuple, int]:
@@ -394,8 +397,6 @@ def symbolic_determinant(m: ModifiedAdjacencyMatrix) -> dict[tuple, int]:
     is sparse enough on these graphs that plain first-row expansion is
     fine.
     """
-    if not m.symbolic:
-        raise ValueError("symbolic entries required")
     n = len(m.rows)
 
     def expand(row: int, cols: tuple[int, ...]) -> Counter:
@@ -457,28 +458,19 @@ def _maximum_matching(m: ModifiedAdjacencyMatrix) -> dict[int, int] | None:
     return {i: j for j, i in match_col.items()}
 
 
-def fix_sign(m: ModifiedAdjacencyMatrix, g: OverlayGraph) -> int:
-    """The unit making sign * det equal the matching sum; +1 if det is 0."""
+def fix_sign(m: ModifiedAdjacencyMatrix) -> int:
+    """The unit making sign * det equal the matching sum; +1 if det is 0.
+
+    It is the sign of one perfect matching's term: the sign of its
+    permutation times the Kasteleyn signs of its cells.
+    """
     matching = _maximum_matching(m)
     if matching is None:
         return 1
-    n = len(m.rows)
-    seen = [False] * n
-    cycles = 0
-    for i in range(n):
-        if not seen[i]:
-            cycles += 1
-            j = i
-            while not seen[j]:
-                seen[j] = True
-                j = matching[j]
-    perm_sign = 1 if (n - cycles) % 2 == 0 else -1
-    product = 1
+    sign = _permutation_sign([matching[i] for i in range(len(m.rows))])
     for i, j in matching.items():
-        for k in g.crossing_rotation[m.rows[i]]:
-            if g.edges[k].face_id == m.cols[j]:
-                product *= g.edges[k].kasteleyn_sign
-    return perm_sign * product
+        sign *= m.sparse[i][j][0]
+    return sign
 
 
 def prepare_overlay(word: BraidWord) -> OverlayGraph:
@@ -492,8 +484,8 @@ def bracket_via_det(word: BraidWord, ops: OpCounter | None = None) -> LaurentPol
     total = LaurentPoly1.one()
     for cids, fids, _ in components(g):
         m = adjacency_matrix(g, crossings=cids, faces=fids)
-        block = LaurentPoly1.term(fix_sign(m, g), 0) * determinant(m, ops)
-        total = total * block
+        block = determinant(m, ops)
+        total = total * (block if fix_sign(m) > 0 else -block)
     return total
 
 

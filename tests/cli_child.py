@@ -1,8 +1,23 @@
 """Running the CLI in a child process, bounded in time and memory."""
 
+import os
 import resource
 import subprocess
 import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def child_env() -> dict:
+    """The parent's environment with the repo's ``src`` first on PYTHONPATH.
+
+    pytest's ``pythonpath`` setting reaches only its own process, so a
+    child started by a test would not find the package otherwise.
+    """
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    return env
 
 
 def run_child(*argv, timeout=10):
@@ -17,4 +32,5 @@ def run_child(*argv, timeout=10):
         text=True,
         timeout=timeout,
         preexec_fn=limit_memory,
+        env=child_env(),
     )

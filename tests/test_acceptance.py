@@ -78,8 +78,8 @@ def test_criterion_2_trefoil_matrix_and_words():
     def check():
         word = parse_braid("s1^3")
         overlay = prepare_overlay(word)
-        m = adjacency_matrix(overlay, symbolic=True)
-        s = fix_sign(m, overlay)
+        m = adjacency_matrix(overlay)
+        s = fix_sign(m)
         det = Counter(
             {key: s * coeff for key, coeff in symbolic_determinant(m).items()}
         )
@@ -120,7 +120,7 @@ def test_criterion_4_dimer_identity_on_corpus():
             z = partition_function(overlay)
             assert z == bracket_state_sum(build_diagram(word))
             m = adjacency_matrix(overlay)
-            s = fix_sign(m, overlay)
+            s = fix_sign(m)
             assert LaurentPoly1.term(s, 0) * determinant(m) == z
         assert time.perf_counter() - start < 120.0
 

@@ -11,7 +11,7 @@ from braidpoly.dimer import MAX_DET_CROSSINGS
 from braidpoly.kauffman import F2q
 from braidpoly.laurent import LAURENT1_JSON_SCHEMA, LAURENT2_JSON_SCHEMA, LaurentPoly1
 
-from cli_child import run_child
+from cli_child import child_env, run_child
 
 TREFOIL = "A^-4 + A^-12 - A^-16"
 
@@ -219,6 +219,7 @@ def test_console_script_entry_point():
         [sys.executable, "-m", "braidpoly.cli", "jones", "--braid", "s1^3"],
         capture_output=True,
         text=True,
+        env=child_env(),
     )
     assert result.returncode == 0
     assert result.stdout == TREFOIL + "\n"
@@ -250,7 +251,7 @@ def test_oversized_inputs_are_refused_quickly(argv, code):
 
 def test_det_cap_is_checked_on_the_syllables(capsys, monkeypatch):
     calls = []
-    monkeypatch.setattr(cli, "jones_via_det", lambda word: calls.append(word) or LaurentPoly1.one())
+    monkeypatch.setattr(cli, "bracket_via_det", lambda word: calls.append(word) or LaurentPoly1.one())
     code, _, _ = invoke(capsys, "jones", "--braid", f"s1^{MAX_DET_CROSSINGS}")
     assert code == 0
     assert len(calls) == 1
@@ -264,7 +265,7 @@ def test_enumeration_caps_are_checked_before_building(capsys, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a structure was built past the cap")
 
-    for name in ("build_diagram", "prepare_overlay", "jones_state_sum"):
+    for name in ("build_diagram", "prepare_overlay", "bracket_state_sum"):
         monkeypatch.setattr(cli, name, refuse)
     for method in ("statesum", "trees", "matchings"):
         code, _, err = invoke(

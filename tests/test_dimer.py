@@ -25,11 +25,12 @@ from braidpoly.dimer import (
     symbolic_determinant,
 )
 from braidpoly.errors import NoKasteleynSolution, UnsupportedWord
+from braidpoly.kauffman import BRACKET_IMAGE
 from braidpoly.laurent import LaurentPoly1
 from braidpoly.oracle import bracket_state_sum, cofactor_det, jones_state_sum
 from braidpoly.overlay import components, partition_function
 
-from words import family_words
+from words import corpus_words, family_words
 
 
 def overlay_of(text: str):
@@ -54,7 +55,7 @@ def test_single_crossing_overlay_is_trivially_signed():
     walks = embedding_faces(g)
     assert [len(w) for w in walks] == [2]
     m = adjacency_matrix(g)
-    assert fix_sign(m, g) == 1
+    assert fix_sign(m) == 1
     assert determinant(m).terms == {3: -1}
 
 
@@ -63,11 +64,10 @@ def test_two_crossing_overlay_signing_and_text():
     walks = embedding_faces(g)
     assert sorted(len(w) for w in walks) == [4, 4]
     assert sum(1 for e in g.edges if e.kasteleyn_sign < 0) == 1
-    m = adjacency_matrix(g, symbolic=True)
-    assert m.to_text() == "[ -L  l ]\n[  D  d ]"
-    numeric = adjacency_matrix(g)
-    s = fix_sign(numeric, g)
-    assert (LaurentPoly1.term(s, 0) * determinant(numeric)).terms == {4: -1, -4: -1}
+    m = adjacency_matrix(g)
+    assert m.to_text(symbolic=True) == "[ -L  l ]\n[  D  d ]"
+    s = fix_sign(m)
+    assert (LaurentPoly1.term(s, 0) * determinant(m)).terms == {4: -1, -4: -1}
 
 
 def test_parity_rule_holds_on_family_sample():
@@ -94,7 +94,7 @@ def test_parity_rule_holds_on_random_family_words(word):
 
 def test_trefoil_matrix_shape_and_pattern():
     g = overlay_of("s1^3")
-    m = adjacency_matrix(g, symbolic=True)
+    m = adjacency_matrix(g)
     assert m.rows == g.crossings
     assert m.cols == g.faces
     incidence = {(e.crossing_id, e.face_id) for e in g.edges}
@@ -120,8 +120,8 @@ def test_trefoil_matrix_shape_and_pattern():
 
 def test_trefoil_sign_fixed_symbolic_determinant():
     g = overlay_of("s1^3")
-    m = adjacency_matrix(g, symbolic=True)
-    s = fix_sign(m, g)
+    m = adjacency_matrix(g)
+    s = fix_sign(m)
     det = {key: s * coeff for key, coeff in symbolic_determinant(m).items()}
     assert det == {
         ActivityWord("LLd").key(): 1,
@@ -131,25 +131,22 @@ def test_trefoil_sign_fixed_symbolic_determinant():
 
 
 def test_numeric_entries_match_symbolic_entries():
-    g = overlay_of("s1^2 s2^2")
-    sym = adjacency_matrix(g, symbolic=True)
-    num = adjacency_matrix(g)
-    from braidpoly.kauffman import BRACKET_IMAGE
-
-    for i in range(len(sym.rows)):
-        for j in range(len(sym.cols)):
-            cell = sym.entries[i][j]
+    m = adjacency_matrix(overlay_of("s1^2 s2^2"))
+    numeric = m.to_json()["entries"]
+    for i in range(len(m.rows)):
+        for j in range(len(m.cols)):
+            cell = m.entries[i][j]
             if cell is None:
-                assert num.entries[i][j].is_zero
+                assert numeric[i][j] == LaurentPoly1.zero().to_json()
             else:
                 sign, letter = cell
                 image = BRACKET_IMAGE[letter]
-                assert num.entries[i][j] == (image if sign > 0 else -image)
+                assert numeric[i][j] == (image if sign > 0 else -image).to_json()
 
 
 def test_matrix_json_round_structure():
-    m = adjacency_matrix(overlay_of("s1^2"), symbolic=True)
-    payload = m.to_json()
+    m = adjacency_matrix(overlay_of("s1^2"))
+    payload = m.to_json(symbolic=True)
     assert payload["symbolic"] is True
     assert payload["entries"] == [["-L", "l"], ["D", "d"]]
     numeric = adjacency_matrix(overlay_of("s1^2")).to_json()
@@ -157,12 +154,25 @@ def test_matrix_json_round_structure():
     assert numeric["rows"] == [1, 2]
 
 
-def test_determinant_mode_guards():
-    g = overlay_of("s1^2")
-    with pytest.raises(ValueError):
-        determinant(adjacency_matrix(g, symbolic=True))
-    with pytest.raises(ValueError):
-        symbolic_determinant(adjacency_matrix(g))
+def test_determinant_evaluates_letters_on_corpus_blocks():
+    # 328 blocks of at most 8 rows; the dense signed images are built here
+    blocks = 0
+    for word in corpus_words():
+        g = prepare_overlay(word)
+        for cids, fids, _ in components(g):
+            m = adjacency_matrix(g, crossings=cids, faces=fids)
+            dense = [
+                [
+                    LaurentPoly1.zero()
+                    if cell is None
+                    else (BRACKET_IMAGE[cell[1]] if cell[0] > 0 else -BRACKET_IMAGE[cell[1]])
+                    for cell in row
+                ]
+                for row in m.entries
+            ]
+            assert determinant(m) == cofactor_det(dense)
+            blocks += 1
+    assert blocks == 328
 
 
 def test_bareiss_upper_triangular_is_diagonal_product():
@@ -284,9 +294,8 @@ def test_bracket_via_det_equals_connected_sum_product_at_scale(word):
 
 
 def test_fix_sign_without_matching_is_plus_one():
-    g = overlay_of("s1")
-    empty = ModifiedAdjacencyMatrix((1,), (0,), ({},), False)
-    assert fix_sign(empty, g) == 1
+    empty = ModifiedAdjacencyMatrix((1,), (0,), ({},))
+    assert fix_sign(empty) == 1
     assert determinant(empty).is_zero
 
 
@@ -295,7 +304,7 @@ def test_fix_sign_without_matching_is_plus_one():
 def test_sign_fixed_determinant_equals_partition_function(word):
     g = prepare_overlay(word)
     m = adjacency_matrix(g)
-    s = fix_sign(m, g)
+    s = fix_sign(m)
     assert LaurentPoly1.term(s, 0) * determinant(m) == partition_function(g)
 
 
@@ -312,7 +321,7 @@ def test_per_component_equals_global_route():
         word = parse_braid(text)
         g = prepare_overlay(word)
         m = adjacency_matrix(g)
-        assert bracket_via_det(word) == LaurentPoly1.term(fix_sign(m, g), 0) * determinant(m)
+        assert bracket_via_det(word) == LaurentPoly1.term(fix_sign(m), 0) * determinant(m)
 
 
 def test_trefoil_jones_via_det_golden():
@@ -420,7 +429,7 @@ def test_solve_gf2_matches_variable_scan(system):
 def test_maximum_matching_finds_a_perfect_matching_when_one_exists(pattern):
     n = len(pattern)
     sparse = tuple({j: (1, "L") for j in sorted(row)} for row in pattern)
-    m = ModifiedAdjacencyMatrix(tuple(range(n)), tuple(range(n)), sparse, True)
+    m = ModifiedAdjacencyMatrix(tuple(range(n)), tuple(range(n)), sparse)
     exists = any(
         all(p[i] in pattern[i] for i in range(n)) for p in itertools.permutations(range(n))
     )
