@@ -3,23 +3,23 @@
 The enumeration modules get the bracket by listing trees or matchings;
 this one gets it in polynomial time.  Steps: sign the overlay edges so
 every face of its embedding satisfies the dimer parity rule, build the
-crossing-by-face matrix of signed letters, evaluate it and run sparse
-fraction-free (Bareiss) elimination over the Laurent ring, and repair
-the global sign from any single perfect matching; the bracket is the
-product of these values over the overlay's connected components.
+crossing-by-face matrix of signed letters, evaluate and eliminate it
+over the Laurent ring, and repair the global sign from any single
+perfect matching; the bracket is the product of these values over the
+overlay's connected components.
 
 Each matrix row is a map from column position to nonzero cell, a
 (Kasteleyn sign, letter) pair filled from the overlay's crossing
 rotation.  ``determinant`` is the one place a cell becomes its signed
 bracket image; the matching behind the sign fix and the symbolic
 expansion read the cells as they are, and the dense ``entries`` view
-exists only for printing.  Each block is bidiagonal plus one dense
-column, so the elimination touches only the rows with a nonzero in the
-pivot column, and the number of ring operations grows about linearly
-with the crossing count.  Every image is a unit +-A^k, and the
-elimination takes unit pivots first, from a heap keyed by (not a unit,
-Markowitz cost): its exact divisions stay shifts until only the dense
-face columns are left.
+exists only for printing.  Every image is a unit +-A^k, so the
+elimination peels rows and columns with one nonzero by Laplace
+expansion, takes plain Gaussian steps on unit pivots, and leaves only
+what neither reaches to fraction-free (Bareiss) elimination.  On the
+blocks of family words that rest is empty: no division but shifts, and
+the number of ring operations grows about linearly with the crossing
+count.
 
 Signing is a GF(2) solve: one unknown per edge, one parity equation
 per traced face, where a face of boundary length 2k wants its negative
@@ -64,15 +64,19 @@ __all__ = [
 
 
 # The CLI refuses longer words for every braid command, since no method
-# reaches further.  In process on a 2-core Xeon VM, s1 s2^999 takes about
-# 0.15 s; wide words are slower, as their dense face columns carry big
-# pivots: s1^50 ... s20^50 about 0.5 s, s1^10 ... s100^10 about 18 s.
+# reaches further.  In process on a 2-core Xeon VM, jones_via_det takes
+# about 0.08 s on s1 s2^999 and 0.10-0.12 s on the wide words
+# s1^50 ... s20^50, s1^25 ... s40^25 and s1^10 ... s100^10.
 MAX_DET_CROSSINGS = 1000
 
 
 @dataclass
 class OpCounter:
-    """Tally of ring operations performed by the elimination."""
+    """Tally of ring operations performed by the elimination.
+
+    A quotient by a unit +-A^k is a product with its inverse and counts
+    in ``muls``, so ``divs`` counts only exact divisions by other values.
+    """
 
     muls: int = 0
     adds: int = 0
@@ -270,34 +274,158 @@ def _permutation_sign(order: list[int]) -> int:
 def bareiss_determinant(
     rows: Sequence[Mapping[int, LaurentPoly1]], ops: OpCounter | None = None
 ) -> LaurentPoly1:
-    """Sparse fraction-free elimination; every division is exact.
+    """Determinant by singleton peeling and unit Gaussian steps, then Bareiss.
 
     Rows are maps from column to entry; zero entries are dropped.  Each
-    step takes the pivot of least key (0 if the entry is a unit +-A^k
-    else 1, Markowitz cost (row count - 1) * (column count - 1)), so
-    pivots stay units, and divisions by them are shifts, until only the
-    dense Schur complement is left.  Candidates wait in a heap of
-    (key, row, column), ties going to the lowest (row, column): every
-    entry is pushed at the start, and every entry of the rows a step
-    updates is pushed after it.  A popped entry whose row or column is
-    gone is dropped, and one whose key has since grown is pushed back
-    with its current key; one whose column lost rows is taken at its
-    stored key, since columns are not pushed again when they shrink.
+    pivot (r, c) deletes row r and column c, and its entry becomes a
+    factor of the determinant.  Pivots are taken in three kinds:
+
+    1. A row or column with one nonzero is a singleton.  Laplace
+       expansion along it leaves the minor as it is, so it costs no ring
+       operation, whatever its entry.  A row or column goes on a
+       worklist when its count drops to 1; a count that drops to 0
+       makes the determinant 0.
+    2. Else a unit entry +-A^k, from a heap keyed by Markowitz cost
+       (row count - 1) * (column count - 1), ties going to the lowest
+       (row, column).  The plain Gaussian step row_i -= (x p^-1) row_r
+       on it is exact, so the rows left hold the true Schur complement.
+       Only unit entries are pushed: at the start, and when an update
+       leaves one.  A popped entry that is gone or no longer a unit is
+       dropped, and one whose cost has since grown is pushed back.
+    3. What neither reaches goes to ``_bareiss_rest``.  On the blocks of
+       family words that rest is empty: every one of 614 blocks tried,
+       from the test corpus and 150 random words of up to 12 generators
+       and exponents up to 30, was taken by the first two kinds.
+
+    The determinant is the product of the factors, taken in a balanced
+    tree, times the signs of the row and column orders of all pivots.
+    ``ops`` counts each product in the updates and the tree as a mul and
+    each sum as an add; peeling itself costs nothing.
+    """
+    live = {i: {j: x for j, x in row.items() if x} for i, row in enumerate(rows)}
+    if not all(live.values()):
+        return LaurentPoly1.zero()
+    in_col: dict[int, set[int]] = {}
+    for i, row in live.items():
+        for j in row:
+            in_col.setdefault(j, set()).add(i)
+    # (row, None) or (None, column), checked again when popped
+    singles = [(i, None) for i, row in live.items() if len(row) == 1]
+    singles += [(None, j) for j, col in in_col.items() if len(col) == 1]
+
+    def cost(i: int, j: int) -> int:
+        return (len(live[i]) - 1) * (len(in_col[j]) - 1)
+
+    units = [(cost(i, j), i, j) for i, row in live.items() for j, x in row.items() if x.is_unit]
+    heapify(units)
+    factors: list[LaurentPoly1] = []
+    row_order: list[int] = []
+    col_order: list[int] = []
+    while live:
+        if singles:
+            r, c = singles.pop()
+            if r is None:
+                if len(in_col.get(c, ())) != 1:
+                    continue
+                (r,) = in_col[c]
+            elif len(live.get(r, ())) == 1:
+                (c,) = live[r]
+            else:
+                continue
+        elif units:
+            stored, r, c = heappop(units)
+            if c not in live.get(r, ()) or not live[r][c].is_unit:
+                continue
+            current = cost(r, c)
+            if current > stored:
+                heappush(units, (current, r, c))
+                continue
+        else:
+            break
+        upper = live.pop(r)
+        pivot = upper.pop(c)
+        factors.append(pivot)
+        row_order.append(r)
+        col_order.append(c)
+        for j in upper:
+            in_col[j].discard(r)
+        touched = in_col.pop(c)
+        touched.discard(r)
+        if touched and upper:
+            # not a singleton, so the pivot is a unit: a quotient by it is
+            # a product with its inverse
+            minus_inverse = -(pivot**-1)
+        for i in touched:
+            row = live[i]
+            x = row.pop(c)
+            if upper:
+                factor = x * minus_inverse
+                for j, y in upper.items():
+                    old = row.get(j)
+                    value = factor * y if old is None else old + factor * y
+                    if value:
+                        if old is None:
+                            in_col[j].add(i)
+                        row[j] = value
+                        if value.is_unit:
+                            heappush(units, (cost(i, j), i, j))
+                    else:
+                        del row[j]
+                        in_col[j].discard(i)
+                    if ops and old is not None:
+                        ops.adds += 1
+                if ops:
+                    ops.muls += 1 + len(upper)
+            if len(row) < 2:
+                if not row:
+                    return LaurentPoly1.zero()
+                singles.append((i, None))
+        # the columns of row r lost it, and may have lost cancelled entries
+        for j in upper:
+            size = len(in_col[j])
+            if size < 2:
+                if not size:
+                    return LaurentPoly1.zero()
+                singles.append((None, j))
+    if live:
+        rest = _bareiss_rest(live, in_col, row_order, col_order, ops)
+        if not rest:
+            return rest
+        factors.append(rest)
+    while len(factors) > 1:
+        pairs = [a * b for a, b in zip(factors[::2], factors[1::2])]
+        if ops:
+            ops.muls += len(pairs)
+        factors[: 2 * len(pairs)] = pairs
+    det = factors[0] if factors else LaurentPoly1.one()
+    sign = _permutation_sign(row_order) * _permutation_sign(col_order)
+    return det if sign > 0 else -det
+
+
+def _bareiss_rest(
+    live: dict[int, dict[int, LaurentPoly1]],
+    in_col: dict[int, set[int]],
+    row_order: list[int],
+    col_order: list[int],
+    ops: OpCounter | None,
+) -> LaurentPoly1:
+    """Sparse fraction-free elimination of ``live``; every division is exact.
+
+    Returns the determinant in the row and column orders of its pivots,
+    which it appends to ``row_order`` and ``col_order``.  Each step takes
+    the pivot of least key (0 if the entry is a unit +-A^k else 1,
+    Markowitz cost, row, column) from a lazy heap: every entry is pushed
+    at the start, and every entry of the rows a step updates is pushed
+    after it.  A popped entry that is gone is dropped, one whose key has
+    grown is pushed back, and one whose key shrank is taken as it is.
 
     Each step updates only the rows with a nonzero in the pivot column.
     A row updated at step t holds the step-t Bareiss values; an
     untouched row would be rescaled by p_s / p_(s-1) at each later step
     s, so the scalings are left implicit and settled in one exact
     division by p_t when the row is next touched (p_s is the step-s
-    pivot, p_0 = 1).  The determinant is the last pivot times the signs
-    of the row and column orders in which pivots were taken.
+    pivot, p_0 = 1).  The last pivot is the determinant.
     """
-    n = len(rows)
-    live = {i: {j: x for j, x in row.items() if x} for i, row in enumerate(rows)}
-    in_col: dict[int, set[int]] = {}
-    for i, row in live.items():
-        for j in row:
-            in_col.setdefault(j, set()).add(i)
 
     def key(i: int, j: int) -> tuple[int, int, int, int]:
         row = live[i]
@@ -307,9 +435,7 @@ def bareiss_determinant(
     heapify(queue)
     level = dict.fromkeys(live, 0)
     pivots = [LaurentPoly1.one()]
-    row_order: list[int] = []
-    col_order: list[int] = []
-    for step in range(1, n + 1):
+    for step in range(1, len(live) + 1):
         while queue:
             stored = heappop(queue)
             r, c = stored[2], stored[3]
@@ -367,8 +493,7 @@ def bareiss_determinant(
         pivots.append(pivot)
         row_order.append(r)
         col_order.append(c)
-    sign = _permutation_sign(row_order) * _permutation_sign(col_order)
-    return pivots[-1] if sign > 0 else -pivots[-1]
+    return pivots[-1]
 
 
 def _divide(
@@ -380,7 +505,11 @@ def _divide(
         i, j, step = where
         raise NotDivisible(f"elimination step ({i},{j}) at pivot {step}: {exc}") from exc
     if ops:
-        ops.divs += 1
+        # a quotient by a unit is a product with its inverse
+        if divisor.is_unit:
+            ops.muls += 1
+        else:
+            ops.divs += 1
     return out
 
 
