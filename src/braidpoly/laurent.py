@@ -16,9 +16,9 @@ the run is read as an integer in base 2^(8k) for a slot width k wide
 enough for the result, and the result's digits are the coefficients.
 A quotient read that way is accepted only after multiplying it back;
 otherwise schoolbook division decides.  The elimination's commonest
-steps are cheaper still: a product of two monomials packs one
-coefficient, a product with A^k only moves the run, and a sum with a
-monomial in the run's class rewrites or adds one slot.  ``LaurentPoly2``
+steps skip the conversion: a monomial scaled by an integer, as in a
+product of two monomials, a negation or a quotient by a unit, packs one
+coefficient, and a product with A^k only moves the run.  ``LaurentPoly2``
 keeps its terms in a dict mapping (a, z) exponent pairs to nonzero ints.
 
 Rendering conventions, fixed once and relied on by the CLI tests:
@@ -327,9 +327,9 @@ class LaurentPoly1:
 
     def _scaled(self, lo: int, c: int) -> "LaurentPoly1":
         """``c * self`` moved to lowest exponent ``lo``; one pass."""
-        w, data = self._w, self._data
         if c == 1:
-            return LaurentPoly1._make(lo, self._s, w, data)
+            return LaurentPoly1._make(lo, self._s, self._w, self._data)
+        w, data = self._w, self._data
         if len(data) == w:
             c *= int.from_bytes(data, "little", signed=True)
             return LaurentPoly1._make(lo, 4, *_pack([c]))
@@ -354,25 +354,7 @@ class LaurentPoly1:
         lo = min(la, lb)
         s = 4 if self._s == other._s == 4 and (la - lb) % 4 == 0 else 1
         if len(b) == wb:
-            # adding a monomial changes one coefficient, in place when it
-            # is in the run's class and fits its width
-            c = sign * int.from_bytes(b, "little", signed=True)
-            pos, off = divmod(lb - la, self._s)
-            n = len(a) // wa
-            if not off:
-                if 0 <= pos < n:
-                    c += int.from_bytes(a[pos * wa : (pos + 1) * wa], "little", signed=True)
-                limit = 1 << (8 * wa - 1)
-                if c and -limit <= c < limit:
-                    slot = c.to_bytes(wa, "little", signed=True)
-                    if pos < 0:
-                        data = slot + bytes(wa * (-pos - 1)) + a
-                        return LaurentPoly1._make(lb, self._s, wa, data)
-                    if pos >= n:
-                        data = a + bytes(wa * (pos - n)) + slot
-                        return LaurentPoly1._make(la, self._s, wa, data)
-                    data = a[: pos * wa] + slot + a[(pos + 1) * wa :]
-                    return LaurentPoly1._make(la, self._s, *_narrow(data, wa))
+            # adding a monomial changes one coefficient
             coeffs = [0] * ((la - lo) // s) + self._coeffs(s)
             coeffs += [0] * ((lb - lo) // s + 1 - len(coeffs))
             coeffs[(lb - lo) // s] += sign * int.from_bytes(b, "little", signed=True)

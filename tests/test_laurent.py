@@ -291,26 +291,6 @@ def test_packed_exact_div_matches_dict_reference_on_one_class_operands(p, q, r):
     check_exact_div(q, p, r)
 
 
-@pytest.mark.parametrize(
-    "p, q",
-    [
-        ({0: 1, 8: 200}, {8: -190}),  # in place, and the widest slot narrows
-        ({0: 1, 8: 127}, {8: 1}),  # in place, past the slot width
-        ({0: 1, 8: 2}, {8: -2}),  # an end cancels
-        ({0: 1, 4: 2, 8: 1}, {4: -2}),  # an inner slot cancels
-        ({0: 1, 8: 2}, {-4: 3}),  # one slot added below
-        ({0: 1, 8: 2}, {20: -1}),  # slots added above
-        ({0: 1, 8: 2}, {-4: 300}),  # added, past the slot width
-        ({0: 1, 1: 2}, {5: 1}),  # a stride-1 run
-        ({0: 1, 1: 2}, {-3: -1}),
-        ({0: 1, 8: 2}, {2: 1}),  # another class
-    ],
-)
-def test_sums_with_a_monomial_match_dict_reference(p, q):
-    check_ring_ops(p, q)
-    check_ring_ops(q, p)
-
-
 def test_one_class_value_reached_by_cancellation_equals_its_own_build():
     # (1 + A)(1 - A + A^2 - A^3) = 1 - A^4: stride-1 factors, stride-4 product
     product = LaurentPoly1({0: 1, 1: 1}) * LaurentPoly1({0: 1, 1: -1, 2: 1, 3: -1})

@@ -1,13 +1,15 @@
 """Benchmark a change against its parent in alternating pairs; write BENCH_<n>.json.
 
-    python3 tools/bench_pairs.py --number 6 --parent HEAD --pairs 10 --seconds 44
+    python3 tools/bench_pairs.py --number 6 --parent HEAD~1 --pairs 10
     python3 tools/bench_pairs.py --number 6 --parent HEAD~1 --workloads det-large --pairs 3
 
 Run from anywhere inside the checkout.  The change is the checkout as it
 stands, uncommitted edits included; the parent is the tree of ``--parent``,
 exported with ``git archive`` into a temporary directory, so the
-repository's own metadata is left as it was.  Each side runs its own
-``perfbench/run.py`` on its own ``src/``, one process at a time.
+repository's own metadata is left as it was.  A parent that is HEAD of a
+clean checkout is refused, since both sides would be the same tree.  Each
+side runs its own ``perfbench/run.py`` on its own ``src/``, one process at
+a time, for BENCHMARK.json's ``run_seconds``.
 
 For each workload, pair k runs ``--trace 0`` on both sides with seed
 ``--seed + k``, the parent first in even pairs and the change first in
@@ -101,30 +103,33 @@ def compare(parent: list[dict], change: list[dict], spec: dict) -> dict:
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--number", type=int, required=True, help="n in BENCH_<n>.json")
-    parser.add_argument("--parent", default="HEAD", help="revision to compare against")
+    parser.add_argument("--parent", required=True, help="revision to compare against")
     parser.add_argument("--workloads", default=",".join(WORKLOADS))
     parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=int, default=44)
     parser.add_argument("--seed", type=int, default=61)
-    parser.add_argument("--workdir", default=None, help="where the parent tree is unpacked")
     args = parser.parse_args()
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    seconds = spec["run_seconds"]
     names = args.workloads.split(",")
+    parent, head = git("rev-parse", args.parent), git("rev-parse", "HEAD")
+    dirty = bool(git("status", "--porcelain"))
+    if parent == head and not dirty:
+        parser.error(f"--parent {args.parent} is HEAD and the checkout is clean: nothing to compare")
     report = {
-        "parent": git("rev-parse", args.parent),
-        "change": {"head": git("rev-parse", "HEAD"), "dirty": bool(git("status", "--porcelain"))},
+        "parent": parent,
+        "change": {"head": head, "dirty": dirty},
         "machine": {
             "nproc": len(os.sched_getaffinity(0)),
             "python": platform.python_version(),
             "platform": platform.platform(),
         },
-        "settings": {"pairs": args.pairs, "seconds": args.seconds, "seeds": [
+        "settings": {"pairs": args.pairs, "seconds": seconds, "seeds": [
             args.seed + k for k in range(args.pairs)
         ]},
         "workloads": {},
     }
-    with tempfile.TemporaryDirectory(dir=args.workdir) as tmp:
+    with tempfile.TemporaryDirectory() as tmp:
         export_tree(args.parent, Path(tmp))
         sides = {"parent": Path(tmp) / "tree", "change": ROOT}
         for workload in names:
@@ -132,12 +137,12 @@ def main() -> int:
             for k in range(args.pairs):
                 order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
                 for side in order:
-                    runs[side].append(bench(sides[side], workload, args.seed + k, args.seconds, 0))
+                    runs[side].append(bench(sides[side], workload, args.seed + k, seconds, 0))
                 rate = {side: runs[side][-1]["metrics"]["words_per_s"] for side in sides}
                 print(f"{workload} pair {k + 1}/{args.pairs}: words_per_s change/parent "
                       f"{rate['change'] / rate['parent']:.3f}", file=sys.stderr)
             traced = {
-                side: bench(sides[side], workload, args.seed, args.seconds, 1) for side in sides
+                side: bench(sides[side], workload, args.seed, seconds, 1) for side in sides
             }
             report["workloads"][workload] = {
                 "all_correct": all(r["correct"] for side in runs.values() for r in side),
