@@ -16,10 +16,10 @@ expansion read the cells as they are, and the dense ``entries`` view
 exists only for printing.  Every image is a unit +-A^k, so the
 elimination peels rows and columns with one nonzero by Laplace
 expansion, takes plain Gaussian steps on unit pivots, and leaves only
-what neither reaches to fraction-free (Bareiss) elimination.  On the
-blocks of family words that rest is empty: no division but shifts, and
-the number of ring operations grows about linearly with the crossing
-count.
+what neither reaches to a small dense fraction-free (Bareiss)
+elimination, kept for general matrices.  On the blocks of family words
+that rest is empty: no division but shifts, and the number of ring
+operations grows about linearly with the crossing count.
 
 Signing is a GF(2) solve: one unknown per edge, one parity equation
 per traced face, where a face of boundary length 2k wants its negative
@@ -76,6 +76,8 @@ class OpCounter:
 
     A quotient by a unit +-A^k is a product with its inverse and counts
     in ``muls``, so ``divs`` counts only exact divisions by other values.
+    Those happen only in the Bareiss rest, which no block of a family
+    word reaches.
     """
 
     muls: int = 0
@@ -184,14 +186,15 @@ def embedding_faces(g: OverlayGraph) -> list[tuple[int, ...]]:
     return faces
 
 
-def kasteleyn_sign(g: OverlayGraph) -> OverlayGraph:
+def kasteleyn_sign(g: OverlayGraph, parts: list | None = None) -> OverlayGraph:
     """Assign edge signs satisfying the face parity rule, in place.
 
     Components share no edge, so one solve over the faces of all even
-    components equals a separate solve per component.
+    components equals a separate solve per component.  ``parts`` is
+    ``components(g)``, passed by a caller that needs it too.
     """
     odd_edges: set[int] = set()
-    for cids, fids, eids in components(g):
+    for cids, fids, eids in components(g) if parts is None else parts:
         if (len(cids) + len(fids)) % 2:
             odd_edges.update(eids)
     equations = []
@@ -292,15 +295,17 @@ def bareiss_determinant(
        Only unit entries are pushed: at the start, and when an update
        leaves one.  A popped entry that is gone or no longer a unit is
        dropped, and one whose cost has since grown is pushed back.
-    3. What neither reaches goes to ``_bareiss_rest``.  On the blocks of
-       family words that rest is empty: every one of 614 blocks tried,
-       from the test corpus and 150 random words of up to 12 generators
-       and exponents up to 30, was taken by the first two kinds.
+    3. What neither reaches goes to ``_bareiss_rest``, a dense Bareiss
+       elimination whose divisions are exact.  On the blocks of family
+       words that rest is empty: every one of 614 blocks tried, from the
+       test corpus and 150 random words of up to 12 generators and
+       exponents up to 30, was taken by the first two kinds.
 
     The determinant is the product of the factors, taken in a balanced
     tree, times the signs of the row and column orders of all pivots.
     ``ops`` counts each product in the updates and the tree as a mul and
-    each sum as an add; peeling itself costs nothing.
+    each sum as an add; peeling itself costs nothing.  The rest counts
+    its own steps the same way, and each quotient by a non-unit as a div.
     """
     live = {i: {j: x for j, x in row.items() if x} for i, row in enumerate(rows)}
     if not all(live.values()):
@@ -388,7 +393,7 @@ def bareiss_determinant(
                     return LaurentPoly1.zero()
                 singles.append((None, j))
     if live:
-        rest = _bareiss_rest(live, in_col, row_order, col_order, ops)
+        rest = _bareiss_rest(live, row_order, col_order, ops)
         if not rest:
             return rest
         factors.append(rest)
@@ -404,113 +409,58 @@ def bareiss_determinant(
 
 def _bareiss_rest(
     live: dict[int, dict[int, LaurentPoly1]],
-    in_col: dict[int, set[int]],
     row_order: list[int],
     col_order: list[int],
     ops: OpCounter | None,
 ) -> LaurentPoly1:
-    """Sparse fraction-free elimination of ``live``; every division is exact.
+    """Dense fraction-free (Bareiss) elimination of the rows left in ``live``.
 
-    Returns the determinant in the row and column orders of its pivots,
-    which it appends to ``row_order`` and ``col_order``.  Each step takes
-    the pivot of least key (0 if the entry is a unit +-A^k else 1,
-    Markowitz cost, row, column) from a lazy heap: every entry is pushed
-    at the start, and every entry of the rows a step updates is pushed
-    after it.  A popped entry that is gone is dropped, one whose key has
-    grown is pushed back, and one whose key shrank is taken as it is.
-
-    Each step updates only the rows with a nonzero in the pivot column.
-    A row updated at step t holds the step-t Bareiss values; an
-    untouched row would be rescaled by p_s / p_(s-1) at each later step
-    s, so the scalings are left implicit and settled in one exact
-    division by p_t when the row is next touched (p_s is the step-s
-    pivot, p_0 = 1).  The last pivot is the determinant.
+    The rows and the columns they still use are taken in sorted order,
+    and a zero pivot is swapped for the first lower row with a nonzero
+    in its column.  Step t sets a_ij = (a_tt a_ij - a_it a_tj) / p, where
+    p is the step t - 1 pivot (1 at the first step); by Sylvester's
+    identity every such division is exact.  The last pivot is the
+    determinant in the final row and column orders, which are appended
+    to ``row_order`` and ``col_order``.  A column that was zero from the
+    start is in no row, so fewer columns than rows means determinant 0.
     """
-
-    def key(i: int, j: int) -> tuple[int, int, int, int]:
-        row = live[i]
-        return (0 if row[j].is_unit else 1, (len(row) - 1) * (len(in_col[j]) - 1), i, j)
-
-    queue = [key(i, j) for i, row in live.items() for j in row]
-    heapify(queue)
-    level = dict.fromkeys(live, 0)
-    pivots = [LaurentPoly1.one()]
-    for step in range(1, len(live) + 1):
-        while queue:
-            stored = heappop(queue)
-            r, c = stored[2], stored[3]
-            if c not in live.get(r, ()):
-                continue
-            current = key(r, c)
-            if current <= stored:
-                break
-            heappush(queue, current)
-        else:
-            return LaurentPoly1.zero()
-        upper = live.pop(r)
-        for j in upper:
-            in_col[j].discard(r)
-        t = level.pop(r)
-        if t < step - 1:
-            for j, x in upper.items():
-                x = x * pivots[step - 1]
-                upper[j] = _divide(x, pivots[t], (r, j, step), ops) if t else x
-            if ops:
-                ops.muls += len(upper)
-        pivot = upper.pop(c)
-        touched = in_col.pop(c)
-        for i in touched:
-            row = live[i]
-            left = -row.pop(c)
-            divisor = pivots[level[i]] if level[i] else None
-            for j in row.keys() | upper.keys():
-                x, y = row.get(j), upper.get(j)
-                if y is None:
-                    value = pivot * x
-                elif x is None:
-                    value = left * y
-                    in_col[j].add(i)
+    rows = sorted(live)
+    cols = sorted({j for row in live.values() for j in row})
+    n = len(rows)
+    zero = LaurentPoly1.zero()
+    if len(cols) < n:
+        return zero
+    a = [[live[i].get(j, zero) for j in cols] for i in rows]
+    pivot = LaurentPoly1.one()
+    for t in range(n):
+        k = next((k for k in range(t, n) if a[k][t]), None)
+        if k is None:
+            return zero
+        a[t], a[k], rows[t], rows[k] = a[k], a[t], rows[k], rows[t]
+        divisor, pivot = pivot, a[t][t]
+        for i in range(t + 1, n):
+            for j in range(t + 1, n):
+                value = pivot * a[i][j] - a[i][t] * a[t][j]
+                if t:
+                    try:
+                        value = value.exact_div(divisor)
+                    except NotDivisible as exc:
+                        where = f"elimination step ({rows[i]},{cols[j]}) at pivot {t + 1}"
+                        raise NotDivisible(f"{where}: {exc}") from exc
+                a[i][j] = value
+        if ops:
+            cells = (n - t - 1) ** 2
+            ops.muls += 2 * cells
+            ops.adds += cells
+            if t:
+                # a quotient by a unit is a product with its inverse
+                if divisor.is_unit:
+                    ops.muls += cells
                 else:
-                    value = pivot * x + left * y
-                    if ops:
-                        ops.muls += 1
-                        ops.adds += 1
-                if ops:
-                    ops.muls += 1
-                if divisor is not None:
-                    value = _divide(value, divisor, (i, j, step), ops)
-                if value:
-                    row[j] = value
-                else:
-                    del row[j]
-                    in_col[j].discard(i)
-            level[i] = step
-            if ops:
-                ops.adds += 1
-        for i in touched:
-            for j in live[i]:
-                heappush(queue, key(i, j))
-        pivots.append(pivot)
-        row_order.append(r)
-        col_order.append(c)
-    return pivots[-1]
-
-
-def _divide(
-    value: LaurentPoly1, divisor: LaurentPoly1, where: tuple[int, int, int], ops: OpCounter | None
-) -> LaurentPoly1:
-    try:
-        out = value.exact_div(divisor)
-    except NotDivisible as exc:
-        i, j, step = where
-        raise NotDivisible(f"elimination step ({i},{j}) at pivot {step}: {exc}") from exc
-    if ops:
-        # a quotient by a unit is a product with its inverse
-        if divisor.is_unit:
-            ops.muls += 1
-        else:
-            ops.divs += 1
-    return out
+                    ops.divs += cells
+    row_order += rows
+    col_order += cols
+    return pivot
 
 
 def determinant(m: ModifiedAdjacencyMatrix, ops: OpCounter | None = None) -> LaurentPoly1:
@@ -609,9 +559,11 @@ def prepare_overlay(word: BraidWord) -> OverlayGraph:
 
 def bracket_via_det(word: BraidWord, ops: OpCounter | None = None) -> LaurentPoly1:
     """Bracket of the closure: the product of its sign-fixed block determinants."""
-    g = prepare_overlay(word)
+    g = overlay_activity_letters(build_overlay(build_diagram(word)))
+    parts = components(g)
+    kasteleyn_sign(g, parts)
     total = LaurentPoly1.one()
-    for cids, fids, _ in components(g):
+    for cids, fids, _ in parts:
         m = adjacency_matrix(g, crossings=cids, faces=fids)
         block = determinant(m, ops)
         total = total * (block if fix_sign(m) > 0 else -block)

@@ -5,21 +5,22 @@ values, and two variables (``a``, ``z``) for Kauffman-style values.
 All arithmetic is exact at any size.
 
 ``LaurentPoly1`` carries the determinant path, so it is built for long
-products and exact quotients: a lowest exponent plus the dense run of
-coefficients above it, packed into one ``bytes`` as two's-complement
-slots of the narrowest width that holds every coefficient.  The run
-steps by A^4 when every exponent lies in one class mod 4, as in every
-bracket value and every minor of its matrix, and by A otherwise; so
-such runs are about full instead of a quarter full.  Products and
-quotients go through Kronecker substitution, one big-int operation each:
-the run is read as an integer in base 2^(8k) for a slot width k wide
-enough for the result, and the result's digits are the coefficients.
-A quotient read that way is accepted only after multiplying it back;
-otherwise schoolbook division decides.  The elimination's commonest
-steps skip the conversion: a monomial scaled by an integer, as in a
-product of two monomials, a negation or a quotient by a unit, packs one
-coefficient, and a product with A^k only moves the run.  ``LaurentPoly2``
-keeps its terms in a dict mapping (a, z) exponent pairs to nonzero ints.
+products: a lowest exponent plus the dense run of coefficients above
+it, packed into one ``bytes`` as two's-complement slots of the
+narrowest width that holds every coefficient.  The run steps by A^4
+when every exponent lies in one class mod 4, as in every bracket value
+and every minor of its matrix, and by A otherwise; so such runs are
+about full instead of a quarter full.  Products and sums go through
+Kronecker substitution, one big-int operation each: the run is read as
+an integer in base 2^(8k) for a slot width k wide enough for the
+result, and the result's digits are the coefficients.  The elimination's
+commonest steps skip the conversion: a monomial scaled by an integer,
+as in a product of two monomials, a negation or a quotient by a unit,
+packs one coefficient, and a product with A^k only moves the run.  The
+determinant path divides by nothing but units, so a quotient by any
+other value is schoolbook division of the coefficient lists.
+``LaurentPoly2`` keeps its terms in a dict mapping (a, z) exponent pairs
+to nonzero ints.
 
 Rendering conventions, fixed once and relied on by the CLI tests:
 
@@ -99,9 +100,9 @@ def _clean(terms: dict) -> dict:
 #
 # A run of n coefficients is n little-endian two's-complement slots of w
 # bytes each.  Its Kronecker image at slot width k >= w bytes is the
-# integer sum(c_i * 2^(8k i)); one big-int product or quotient of two
-# images is one polynomial product or quotient, provided every
-# coefficient of the result fits a k-byte slot.
+# integer sum(c_i * 2^(8k i)); one big-int product or sum of two images
+# is one polynomial product or sum, provided every coefficient of the
+# result fits a k-byte slot.
 
 _ARRAY_CODES = {array(code).itemsize: code for code in "qlihb"}
 _SIGN_FILL = bytes(0xFF if b & 0x80 else 0 for b in range(256))
@@ -135,7 +136,7 @@ def _to_int(data: bytes, w: int, k: int, gap: int = 1) -> int:
 def _from_int(value: int, k: int, n: int) -> tuple[int, bytes]:
     """(width, run) of the n balanced base-2^(8k) digits of ``value``.
 
-    Raises OverflowError when ``value`` needs more than n slots.
+    Callers choose k and n so that ``value`` fits n slots.
     """
     top = _slot_bits(k, k - 1, n)
     return _narrow(((value + top) ^ top).to_bytes(n * k, "little"), k)
@@ -427,48 +428,20 @@ class LaurentPoly1:
     def exact_div(self, divisor: "LaurentPoly1") -> "LaurentPoly1":
         """Exact division, raising :class:`NotDivisible` on any remainder.
 
-        Units ``c * A^k`` with ``|c| = 1`` always divide; in general the
-        quotient must again have integer coefficients.  Two stride-4
-        runs divide as runs; otherwise both are read at stride 1.  The
-        quotient of the two Kronecker images is accepted only when
-        multiplying it back gives the dividend's image at a slot width
-        that holds every coefficient of quotient times divisor;
-        otherwise schoolbook division decides, and raises on any
-        remainder.
+        A unit ``+-A^k`` divides anything, by a shift.  Any other divisor
+        goes to schoolbook division, whose quotient must again have
+        integer coefficients.  Two stride-4 runs divide as runs;
+        otherwise both are read at stride 1.
         """
         b = divisor._data
         if not b:
             raise NotDivisible("division by zero")
-        a = self._data
-        if not a:
+        if not self._data:
             return _ZERO
         lo = self._lo - divisor._lo
         if b in _UNIT_RUNS:
             return self._scaled(lo, _UNIT_RUNS[b])
         s = 4 if self._s == divisor._s == 4 else 1
-        wa, wb = self._w, divisor._w
-        na, nb = self._span(s), divisor._span(s)
-        nq = na - nb + 1
-        if nq < 1:
-            raise NotDivisible("nonzero remainder")
-        # slot widths for a quotient about as wide as dividend / divisor,
-        # then for one as wide as the dividend
-        span = min(nq, nb).bit_length() - 1
-        for wq in sorted({max(wa - wb + 1, 1), wa}):
-            k = (8 * wq + 8 * wb + span + 7) // 8
-            value, rem = divmod(
-                _to_int(a, wa, k, self._s // s), _to_int(b, wb, k, divisor._s // s)
-            )
-            if rem:
-                break
-            try:
-                w, run = _from_int(value, k, nq)
-            except OverflowError:
-                continue
-            # quotient * divisor == dividend in the images, and k-byte slots
-            # hold every coefficient of quotient * divisor: so as polynomials
-            if 8 * w + 8 * wb + span <= 8 * k:
-                return LaurentPoly1._canonical(lo, s, w, run)
         quot = _long_division(self._coeffs(s), divisor._coeffs(s))
         return LaurentPoly1._canonical(lo, s, *_pack(quot))
 

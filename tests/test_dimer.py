@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from braidpoly import dimer
 from braidpoly.activity import ActivityWord
 from braidpoly.braid import parse_braid
 from braidpoly.diagram import build_diagram
@@ -190,6 +191,59 @@ def test_bareiss_row_swap_sign():
     assert bareiss_determinant([dict(enumerate(r)) for r in [[z, one], [one, z]]]).terms == {0: -1}
     assert bareiss_determinant([dict(enumerate(r)) for r in [[z, one], [z, one]]]).is_zero
     assert bareiss_determinant([]).terms == {0: 1}
+
+
+def reaching_the_rest(monkeypatch):
+    """Calls of ``_bareiss_rest``, each recorded as its row count."""
+    calls = []
+    rest = dimer._bareiss_rest
+
+    def spy(live, *args):
+        calls.append(len(live))
+        return rest(live, *args)
+
+    monkeypatch.setattr(dimer, "_bareiss_rest", spy)
+    return calls
+
+
+def test_bareiss_rest_with_fewer_columns_than_rows_is_zero(monkeypatch):
+    # column 1 is zero from the start, so it never counts as emptied; no
+    # entry is a unit or alone in its row or column, so all 3 rows reach
+    # the rest, which sees only 2 columns
+    rows = [
+        [LaurentPoly1(terms) for terms in row]
+        for row in (
+            ({0: 2, 1: 1}, {}, {0: 3}),
+            ({-1: 1, 2: 1}, {}, {1: 2, 0: -1}),
+            ({0: 5}, {}, {2: 1, -2: 1}),
+        )
+    ]
+    calls = reaching_the_rest(monkeypatch)
+    expected = cofactor_det(rows)
+    assert expected.is_zero
+    assert bareiss_determinant([dict(enumerate(r)) for r in rows]) == expected
+    assert calls == [3]
+
+
+def test_bareiss_rest_swaps_rows_on_a_zero_pivot(monkeypatch):
+    # dense, no unit anywhere and nothing at the top left: the first
+    # Bareiss step has to take a lower row
+    rows = [
+        [LaurentPoly1(terms) for terms in row]
+        for row in (
+            ({}, {0: 2, 1: 1}, {0: 3}, {-1: 1, 1: 1}),
+            ({0: 2}, {2: 1, 0: 1}, {1: -2}, {0: 3, 1: 1}),
+            ({1: 1, 0: -2}, {0: 4}, {-1: 2, 0: 1}, {0: -3}),
+            ({0: 3, 2: 1}, {1: 2}, {0: 1, 1: 1}, {0: 2, -2: 1}),
+        )
+    ]
+    calls = reaching_the_rest(monkeypatch)
+    ops = OpCounter()
+    expected = cofactor_det(rows)
+    assert not expected.is_zero
+    assert bareiss_determinant([dict(enumerate(r)) for r in rows], ops) == expected
+    assert calls == [4]
+    assert ops.divs > 0
 
 
 def sparse_poly(rng: random.Random) -> LaurentPoly1:
@@ -403,6 +457,42 @@ def test_wide_word_needs_no_big_division():
     ops = OpCounter()
     assert bracket_via_det(word, ops) == torus_bracket(10) ** 100
     assert ops.divs <= 36
+
+
+def test_family_words_never_reach_the_bareiss_rest(monkeypatch):
+    # peeling and unit steps take every pivot of a family word's blocks,
+    # so the det path divides by nothing but units
+    def refuse(*args):
+        raise AssertionError("a family block reached the Bareiss rest")
+
+    monkeypatch.setattr(dimer, "_bareiss_rest", refuse)
+    for word in corpus_words():
+        bracket_via_det(word)
+    for text in (
+        " ".join(f"s{i}^10" for i in range(1, 31)),
+        " ".join(f"s{i}^-6" for i in range(1, 21)),
+        " ".join(f"s{i}" for i in range(1, 41)),
+        "s1^3 s2^30 s3 s4^12 s5^2 s6^25",
+        "s1^-40 s2^-40 s3^-40",
+    ):
+        word = parse_braid(text)
+        expected = LaurentPoly1.one()
+        for _, m in word.syllables:
+            expected = expected * torus_bracket(m)
+        assert bracket_via_det(word) == expected
+
+
+def test_components_are_computed_once_per_word(monkeypatch):
+    calls = []
+
+    def counted(g):
+        calls.append(g)
+        return components(g)
+
+    monkeypatch.setattr(dimer, "components", counted)
+    word = parse_braid("s1^2 s2^3 s3 s4^2")
+    assert bracket_via_det(word) == bracket_state_sum(build_diagram(word))
+    assert len(calls) == 1
 
 
 def test_kasteleyn_is_idempotent_enough():
