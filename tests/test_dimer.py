@@ -441,8 +441,8 @@ def test_op_counter_growth_is_subquartic():
 
 
 def test_unit_first_pivots_keep_divisions_few():
-    # a pivot that is not a unit makes every later catch-up a division;
-    # the Markowitz order alone took 148 here
+    # only a non-unit pivot makes a division; an elimination in Markowitz
+    # order alone, with no preference for units, once took 148 here
     word = parse_braid(" ".join(f"s{i}^10" for i in range(1, 11)))
     ops = OpCounter()
     determinant(adjacency_matrix(prepare_overlay(word)), ops)
@@ -451,8 +451,8 @@ def test_unit_first_pivots_keep_divisions_few():
 
 def test_wide_word_needs_no_big_division():
     # 100 generators at the crossing cap.  Carrying each dense-column pivot
-    # through the later rows took 293 big exact divisions here; peeling and
-    # unit steps leave no rest, and 36 is all a 6 x 6 rest could need
+    # through the later rows once took 293 big exact divisions here; peeling
+    # and unit steps leave no rest, and a 6 x 6 dense rest would make 30
     word = parse_braid(" ".join(f"s{i}^10" for i in range(1, 101)))
     ops = OpCounter()
     assert bracket_via_det(word, ops) == torus_bracket(10) ** 100
