@@ -157,30 +157,28 @@ class ModifiedAdjacencyMatrix:
 def embedding_faces(g: OverlayGraph) -> list[tuple[int, ...]]:
     """Boundary walks of the overlay embedding, as edge-index sequences.
 
-    Darts are (edge, endpoint-kind); the walk crosses the edge, then
-    turns to the next edge in the rotation at the far endpoint.  Walk
-    length equals face boundary length.
+    Dart ``2 * i`` leaves edge i's crossing and dart ``2 * i + 1`` its
+    face.  The walk crosses the edge, then turns to the next edge in the
+    rotation at the far endpoint.  Walk length equals face boundary
+    length.
     """
-    succ: dict[tuple[int, int], tuple[int, int]] = {}
-    darts = [(i, side) for i in range(len(g.edges)) for side in (0, 1)]
-    for i, side in darts:
-        e = g.edges[i]
-        rot = g.crossing_rotation[e.crossing_id] if side == 0 else g.face_rotation[e.face_id]
-        pos = rot.index(i)
-        nxt = rot[(pos + 1) % len(rot)]
-        # leave the far vertex along nxt, toward its other endpoint
-        succ[(i, side)] = (nxt, 1 - side)
+    succ = [0] * (2 * len(g.edges))
+    for side, rotations in ((0, g.crossing_rotation), (1, g.face_rotation)):
+        for rot in rotations.values():
+            # leave the far vertex along nxt, toward its other endpoint
+            for i, nxt in zip(rot, rot[1:] + rot[:1]):
+                succ[2 * i + side] = 2 * nxt + 1 - side
 
-    seen: set[tuple[int, int]] = set()
+    seen = bytearray(len(succ))
     faces = []
-    for start in darts:
-        if start in seen:
+    for start in range(len(succ)):
+        if seen[start]:
             continue
         walk = []
         dart = start
-        while dart not in seen:
-            seen.add(dart)
-            walk.append(dart[0])
+        while not seen[dart]:
+            seen[dart] = 1
+            walk.append(dart >> 1)
             dart = succ[dart]
         faces.append(tuple(walk))
     return faces

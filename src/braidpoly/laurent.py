@@ -14,10 +14,15 @@ about full instead of a quarter full.  Products and sums go through
 Kronecker substitution, one big-int operation each: the run is read as
 an integer in base 2^(8k) for a slot width k wide enough for the
 result, and the result's digits are the coefficients.  The elimination's
-commonest steps skip the conversion: a monomial scaled by an integer,
-as in a product of two monomials, a negation or a quotient by a unit,
-packs one coefficient, and a product with A^k only moves the run.  The
-determinant path divides by nothing but units, so a quotient by any
+commonest steps, nearly all on runs of one-byte slots, skip the
+conversion.  A product with A^k, or a quotient by it, only moves the
+run.  A negation, or a product with -A^k, of a one-byte run is one
+``bytes.translate`` through a negation table.  A one-byte monomial added
+to or subtracted from a one-byte stride-4 run, of its class and outside
+it, is one more byte at an end.  Any other monomial scaled by an integer
+packs one coefficient.  Byte 0x80 (-128) has no one-byte negation, so a
+run that holds it, or a subtraction of it, takes the Kronecker path.
+The determinant path divides by nothing but units, so a quotient by any
 other value is schoolbook division of the coefficient lists.
 ``LaurentPoly2`` keeps its terms in a dict mapping (a, z) exponent pairs
 to nonzero ints.
@@ -106,6 +111,7 @@ def _clean(terms: dict) -> dict:
 
 _ARRAY_CODES = {array(code).itemsize: code for code in "qlihb"}
 _SIGN_FILL = bytes(0xFF if b & 0x80 else 0 for b in range(256))
+_NEGATED = bytes(-b & 0xFF for b in range(256))  # 0x80 maps to itself: callers exclude it
 _LITTLE = sys.byteorder == "little"
 
 
@@ -327,10 +333,18 @@ class LaurentPoly1:
         return hash((self._lo, self._s, self._w, self._data))
 
     def _scaled(self, lo: int, c: int) -> "LaurentPoly1":
-        """``c * self`` moved to lowest exponent ``lo``; one pass."""
+        """``c * self`` moved to lowest exponent ``lo``; one pass.
+
+        A one-byte run times -1 is one ``translate`` through a negation
+        table, unless it holds -128 (byte ``0x80``), whose negation needs
+        a wider slot; so a product of two unit monomials never packs.  Any
+        other monomial packs its one coefficient.
+        """
         if c == 1:
             return LaurentPoly1._make(lo, self._s, self._w, self._data)
         w, data = self._w, self._data
+        if c == -1 and w == 1 and b"\x80" not in data:
+            return LaurentPoly1._make(lo, self._s, 1, data.translate(_NEGATED))
         if len(data) == w:
             c *= int.from_bytes(data, "little", signed=True)
             return LaurentPoly1._make(lo, 4, *_pack([c]))
@@ -345,6 +359,15 @@ class LaurentPoly1:
         return self._scaled(self._lo, -1)
 
     def _combine(self, other: "LaurentPoly1", sign: int) -> "LaurentPoly1":
+        """``self + sign * other``.
+
+        A one-byte stride-4 run plus or minus a one-byte monomial of its
+        class that lies outside the run gains one byte at an end, with
+        zero slots across any gap; subtracting -128 (byte ``0x80``) needs
+        a wider slot and is left to the general path.  Any other sum with
+        a monomial changes one coefficient of the unpacked run, and a sum
+        of two longer runs is one Kronecker sum.
+        """
         if not other._data:
             return self
         if not self._data:
@@ -355,6 +378,13 @@ class LaurentPoly1:
         lo = min(la, lb)
         s = 4 if self._s == other._s == 4 and (la - lb) % 4 == 0 else 1
         if len(b) == wb:
+            if s == 4 and wa == wb == 1 and (sign > 0 or b != b"\x80"):
+                m = b if sign > 0 else b.translate(_NEGATED)
+                hi = la + 4 * (len(a) - 1)
+                if lb < la:
+                    return LaurentPoly1._make(lb, 4, 1, m + bytes((la - lb) // 4 - 1) + a)
+                if lb > hi:
+                    return LaurentPoly1._make(la, 4, 1, a + bytes((lb - hi) // 4 - 1) + m)
             # adding a monomial changes one coefficient
             coeffs = [0] * ((la - lo) // s) + self._coeffs(s)
             coeffs += [0] * ((lb - lo) // s + 1 - len(coeffs))

@@ -93,6 +93,32 @@ def test_parity_rule_holds_on_random_family_words(word):
         assert negative_count(g, walk) % 2 == (len(walk) // 2 + 1) % 2
 
 
+def euler_characteristics(g) -> list[int]:
+    """V - E + F of each overlay component, F its boundary walks."""
+    parts = components(g)
+    part_of_edge = {idx: k for k, (_, _, eids) in enumerate(parts) for idx in eids}
+    walks = [0] * len(parts)
+    for walk in embedding_faces(g):
+        walks[part_of_edge[walk[0]]] += 1
+    return [
+        len(cids) + len(fids) - len(eids) + w
+        for (cids, fids, eids), w in zip(parts, walks)
+    ]
+
+
+def test_face_walks_satisfy_euler_on_corpus():
+    # each component is a plane graph: a wrong successor changes the
+    # walk count even when every edge is still walked twice
+    for word in corpus_words():
+        assert set(euler_characteristics(prepare_overlay(word))) == {2}, word
+
+
+@settings(deadline=None, max_examples=60)
+@given(family_words(max_strands=6, max_exponent=6))
+def test_face_walks_satisfy_euler_on_random_family_words(word):
+    assert set(euler_characteristics(prepare_overlay(word))) == {2}
+
+
 def test_trefoil_matrix_shape_and_pattern():
     g = overlay_of("s1^3")
     m = adjacency_matrix(g)

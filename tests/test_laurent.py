@@ -365,3 +365,73 @@ def test_products_of_runs_at_the_edge_of_their_width(c, n):
     assert (a * b).exact_div(b) == a
     assert (a + a).terms == ref_add(p, p)
     assert (a - b).terms == ref_add(p, q, -1)
+
+
+# ------------------------------------------------- one-byte fast paths
+#
+# A one-byte run times -1 is a byte translation, and a one-byte monomial
+# outside a one-byte stride-4 run of its class is one more byte at an end.
+# Byte 0x80 (-128) has no one-byte negation, so it takes the general path.
+
+def assert_built_as(value, terms):
+    expected = LaurentPoly1(terms)
+    assert value.terms == terms
+    assert value == expected
+    assert hash(value) == hash(expected)
+
+
+@pytest.mark.parametrize(
+    "p, k",
+    [
+        ({0: -128, 4: 3}, 0),  # holds -128
+        ({4: 5, 8: -128}, 3),
+        ({7: -128}, -1),
+        ({0: 127, 4: -127, 8: 1}, 0),
+        ({0: 1, 1: -2, 5: 9}, 2),  # stride 1
+        ({7: -1}, 5),
+        ({7: 1}, -7),
+        ({7: 3}, -2),
+        ({0: 300, 4: -1}, 1),  # two-byte slots
+    ],
+)
+def test_negation_and_products_by_minus_a_power(p, k):
+    a, u = LaurentPoly1(p), LaurentPoly1.term(-1, k)
+    negated = {e: -c for e, c in p.items()}
+    assert_built_as(-a, negated)
+    assert_built_as(a * u, {e + k: c for e, c in negated.items()})
+    assert_built_as(u * a, {e + k: c for e, c in negated.items()})
+    assert_built_as(a.exact_div(u), {e - k: c for e, c in negated.items()})
+
+
+RUN = {8: 3, 12: -1, 16: 5}  # one-byte slots, stride 4
+
+
+@pytest.mark.parametrize(
+    "p, q",
+    [
+        (RUN, {4: 2}),  # below the run, no gap
+        (RUN, {-4: 2}),  # below, a gap of 2 slots
+        (RUN, {20: -7}),  # above, no gap
+        (RUN, {28: -7}),  # above, a gap of 2 slots
+        (RUN, {-4: -128}),  # subtracting -128 needs two-byte slots
+        (RUN, {20: -128}),
+        (RUN, {12: 1}),  # inside the run
+        (RUN, {8: -3}),  # cancels the lowest slot
+        (RUN, {16: -5}),  # cancels the highest slot
+        ({0: 1, 8: 1}, {4: 7}),  # fills a zero slot
+        ({8: -128, 12: 1}, {0: 1}),  # a run holding -128
+        ({3: 1}, {-5: -1}),  # two monomials
+        (RUN, {13: 1}),  # another class: stride 1
+        ({0: 1, 1: 1}, {3: 4}),  # a stride-1 run
+        ({0: 1, 1: 1}, {-2: 4}),
+        ({0: 1, 1: 1}, {1: -1}),  # back to stride 4
+        ({0: 300, 4: 1}, {8: 1}),  # two-byte slots
+        (RUN, {24: 300}),
+    ],
+)
+def test_run_plus_or_minus_a_monomial(p, q):
+    a, b = LaurentPoly1(p), LaurentPoly1(q)
+    assert_built_as(a + b, ref_add(p, q))
+    assert_built_as(b + a, ref_add(p, q))
+    assert_built_as(a - b, ref_add(p, q, -1))
+    assert_built_as(b - a, ref_add(q, p, -1))

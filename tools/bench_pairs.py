@@ -15,8 +15,9 @@ For each workload, pair k runs ``--trace 0`` on both sides with seed
 ``--seed + k``, the parent first in even pairs and the change first in
 odd ones, so a machine that drifts within a pair favours neither side.
 One ``--trace 1`` run per side follows, on seed ``--seed``.  The JSON file
-holds, per workload and end-to-end metric, every run's value, each side's
-median and quartiles, and how many pairs the change won; and each side's
+holds, per workload, whether every run answered correctly, traced runs
+included; per end-to-end metric, every run's value, each side's median
+and quartiles, and how many pairs the change won; and each side's
 per-layer metrics from its traced run.
 """
 
@@ -100,6 +101,24 @@ def compare(parent: list[dict], change: list[dict], spec: dict) -> dict:
     return out
 
 
+def workload_report(runs: dict, traced: dict, spec: dict) -> dict:
+    """One workload's entry from its paired runs and its traced runs.
+
+    ``all_correct`` holds only when every run answered correctly, the
+    traced ones included.
+    """
+    return {
+        "all_correct": all(
+            r["correct"] for r in [*runs["parent"], *runs["change"], *traced.values()]
+        ),
+        "end_to_end": compare(runs["parent"], runs["change"], spec),
+        "per_layer": {
+            name: {side: traced[side]["metrics"].get(name) for side in traced}
+            for name in sorted(traced["change"]["metrics"])
+        },
+    }
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--number", type=int, required=True, help="n in BENCH_<n>.json")
@@ -144,14 +163,7 @@ def main() -> int:
             traced = {
                 side: bench(sides[side], workload, args.seed, seconds, 1) for side in sides
             }
-            report["workloads"][workload] = {
-                "all_correct": all(r["correct"] for side in runs.values() for r in side),
-                "end_to_end": compare(runs["parent"], runs["change"], spec),
-                "per_layer": {
-                    name: {side: traced[side]["metrics"].get(name) for side in sides}
-                    for name in sorted(traced["change"]["metrics"])
-                },
-            }
+            report["workloads"][workload] = workload_report(runs, traced, spec)
     path = ROOT / f"BENCH_{args.number}.json"
     path.write_text(json.dumps(report, indent=1) + "\n")
     print(f"wrote {path}", file=sys.stderr)
