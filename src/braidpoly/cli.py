@@ -167,7 +167,6 @@ def _cmd_matrix(args) -> int:
 
 def _cmd_graph(args) -> int:
     word = _load_word(args)
-    diagram = build_diagram(word)
     if args.kind == "overlay":
         g = prepare_overlay(word)
         if args.format == "json":
@@ -189,6 +188,7 @@ def _cmd_graph(args) -> int:
         else:
             print(overlay_to_dot(g))
         return 0
+    diagram = build_diagram(word)
     g = build_tait(diagram)
     if args.kind == "dual":
         g = dual_tait(g, diagram)

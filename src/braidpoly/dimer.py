@@ -5,8 +5,9 @@ this one gets it in polynomial time.  Steps: sign the overlay edges so
 every face of its embedding satisfies the dimer parity rule, build the
 crossing-by-face matrix of signed letters, evaluate and eliminate it
 over the Laurent ring, and repair the global sign from any single
-perfect matching; the bracket is the product of these values over the
-overlay's connected components.
+perfect matching.  The matrix is the one ``braidpoly matrix`` prints,
+over the whole overlay: the bracket is its sign-fixed determinant,
+whatever the overlay's connected components.
 
 Each matrix row is a map from column position to nonzero cell, a
 (Kasteleyn sign, letter) pair filled from the overlay's crossing
@@ -17,8 +18,8 @@ exists only for printing.  Every image is a unit +-A^k, so the
 elimination peels rows and columns with one nonzero by Laplace
 expansion, takes plain Gaussian steps on unit pivots, and leaves only
 what neither reaches to a small dense fraction-free (Bareiss)
-elimination, kept for general matrices.  On the blocks of family words
-that rest is empty: no division but shifts, and the number of ring
+elimination, kept for general matrices.  On the matrices of family
+words that rest is empty: no division but shifts, and the number of ring
 operations grows about linearly with the crossing count.
 
 Signing is a GF(2) solve: one unknown per edge, one parity equation
@@ -27,7 +28,7 @@ edge count congruent to k + 1 mod 2.  All faces are included; for a
 component with an even vertex count the unbounded equation is the sum
 of the bounded ones, so nothing is overconstrained.  An odd component
 has no perfect matching at all: its faces are left out of the solve,
-its determinant block is zero and its signs stay +1.
+its signs stay +1, and the whole matrix has determinant zero.
 """
 
 from __future__ import annotations
@@ -64,9 +65,9 @@ __all__ = [
 
 
 # The CLI refuses longer words for every braid command, since no method
-# reaches further.  In process on a 2-core Xeon VM, jones_via_det takes
-# about 0.08 s on s1 s2^999 and 0.10-0.12 s on the wide words
-# s1^50 ... s20^50, s1^25 ... s40^25 and s1^10 ... s100^10.
+# reaches further.  In process on a 2-core Xeon VM with Python 3.11,
+# jones_via_det takes about 0.05 s on s1 s2^999 and 0.07-0.10 s on the
+# wide words s1^50 ... s20^50, s1^25 ... s40^25 and s1^10 ... s100^10.
 MAX_DET_CROSSINGS = 1000
 
 
@@ -76,7 +77,7 @@ class OpCounter:
 
     A quotient by a unit +-A^k is a product with its inverse and counts
     in ``muls``, so ``divs`` counts only exact divisions by other values.
-    Those happen only in the Bareiss rest, which no block of a family
+    Those happen only in the Bareiss rest, which no matrix of a family
     word reaches.
     """
 
@@ -184,15 +185,14 @@ def embedding_faces(g: OverlayGraph) -> list[tuple[int, ...]]:
     return faces
 
 
-def kasteleyn_sign(g: OverlayGraph, parts: list | None = None) -> OverlayGraph:
+def kasteleyn_sign(g: OverlayGraph) -> OverlayGraph:
     """Assign edge signs satisfying the face parity rule, in place.
 
     Components share no edge, so one solve over the faces of all even
-    components equals a separate solve per component.  ``parts`` is
-    ``components(g)``, passed by a caller that needs it too.
+    components equals a separate solve per component.
     """
     odd_edges: set[int] = set()
-    for cids, fids, eids in components(g) if parts is None else parts:
+    for cids, fids, eids in components(g):
         if (len(cids) + len(fids)) % 2:
             odd_edges.update(eids)
     equations = []
@@ -238,25 +238,17 @@ def _solve_gf2(equations: list[tuple[int, int]]) -> int:
     return solution
 
 
-def adjacency_matrix(
-    g: OverlayGraph,
-    crossings: tuple[int, ...] | None = None,
-    faces: tuple[int, ...] | None = None,
-) -> ModifiedAdjacencyMatrix:
-    """Crossing-by-face matrix of letters, over all of ``g`` or the given subsets."""
-    row_ids = g.crossings if crossings is None else tuple(crossings)
-    col_ids = g.faces if faces is None else tuple(faces)
-    col_pos = {fid: j for j, fid in enumerate(col_ids)}
+def adjacency_matrix(g: OverlayGraph) -> ModifiedAdjacencyMatrix:
+    """Crossing-by-face matrix of letters over all of ``g``."""
+    col_pos = {fid: j for j, fid in enumerate(g.faces)}
     rows = []
-    for cid in row_ids:
+    for cid in g.crossings:
         row = {}
         for i in g.crossing_rotation[cid]:
             e = g.edges[i]
-            j = col_pos.get(e.face_id)
-            if j is not None:
-                row[j] = (e.kasteleyn_sign, e.letter)
+            row[col_pos[e.face_id]] = (e.kasteleyn_sign, e.letter)
         rows.append(dict(sorted(row.items())))
-    return ModifiedAdjacencyMatrix(row_ids, col_ids, tuple(rows))
+    return ModifiedAdjacencyMatrix(g.crossings, g.faces, tuple(rows))
 
 
 def _permutation_sign(order: list[int]) -> int:
@@ -294,10 +286,13 @@ def bareiss_determinant(
        leaves one.  A popped entry that is gone or no longer a unit is
        dropped, and one whose cost has since grown is pushed back.
     3. What neither reaches goes to ``_bareiss_rest``, a dense Bareiss
-       elimination whose divisions are exact.  On the blocks of family
-       words that rest is empty: every one of 614 blocks tried, from the
-       test corpus and 150 random words of up to 12 generators and
-       exponents up to 30, was taken by the first two kinds.
+       elimination whose divisions are exact.  On the matrices of family
+       words that rest is empty: each of 472 whole matrices tried was
+       taken by the first two kinds.  They were the 168 words of the test
+       corpus, 300 random words of up to 12 generators with exponents up
+       to 30 and both signs, ``s1^160 s2^160``, and three words at the
+       1000-crossing cap: ``s1 s2^999``, ``s1^10 ... s100^10`` and
+       ``s1^-25 ... s40^-25``.
 
     The determinant is the product of the factors, taken in a balanced
     tree, times the signs of the row and column orders of all pivots.
@@ -503,7 +498,7 @@ def _maximum_matching(m: ModifiedAdjacencyMatrix) -> dict[int, int] | None:
 
     A row takes a free column when it has one.  Otherwise a depth-first
     search looks for an augmenting path, kept on explicit stacks because
-    a path can be as long as the block, past the recursion limit.
+    a path can be as long as the matrix, past the recursion limit.
     """
     adjacency = [sorted(row) for row in m.sparse]
     match_col: dict[int, int] = {}
@@ -556,16 +551,10 @@ def prepare_overlay(word: BraidWord) -> OverlayGraph:
 
 
 def bracket_via_det(word: BraidWord, ops: OpCounter | None = None) -> LaurentPoly1:
-    """Bracket of the closure: the product of its sign-fixed block determinants."""
-    g = overlay_activity_letters(build_overlay(build_diagram(word)))
-    parts = components(g)
-    kasteleyn_sign(g, parts)
-    total = LaurentPoly1.one()
-    for cids, fids, _ in parts:
-        m = adjacency_matrix(g, crossings=cids, faces=fids)
-        block = determinant(m, ops)
-        total = total * (block if fix_sign(m) > 0 else -block)
-    return total
+    """Bracket of the closure: the sign-fixed determinant of its letter matrix."""
+    m = adjacency_matrix(prepare_overlay(word))
+    det = determinant(m, ops)
+    return det if fix_sign(m) > 0 else -det
 
 
 def jones_via_det(word: BraidWord, ops: OpCounter | None = None) -> LaurentPoly1:

@@ -41,7 +41,7 @@ class ZeroExponent(BraidPolyError):
 
 
 class NegativeIndex(BraidPolyError):
-    """A recursion index that must be nonnegative was negative."""
+    """A recursion index below its lower bound, which the message names."""
 
 
 class DisconnectedLink(BraidPolyError):

@@ -86,7 +86,7 @@ def specialize_kauffman(word: ActivityWord) -> LaurentPoly2:
 def P(q: int) -> LaurentPoly2:
     """Ladder matching sum; P(0) and P(1) are definitional constants."""
     if q < 0:
-        raise NegativeIndex(f"P({q})")
+        raise NegativeIndex(f"P needs q >= 0, got {q}")
     if q == 0:
         return LaurentPoly2({(1, -1): 1, (-1, -1): 1, (0, 0): -1})
     total = specialize_kauffman(ActivityWord(["l"] + ["D"] * (q - 1)))
@@ -99,7 +99,7 @@ def P(q: int) -> LaurentPoly2:
 @lru_cache(maxsize=None)
 def g(n: int) -> LaurentPoly2:
     if n < 0:
-        raise NegativeIndex(f"g({n})")
+        raise NegativeIndex(f"g needs n >= 0, got {n}")
     if n == 0:
         return LaurentPoly2.one()
     if n == 1:
@@ -117,7 +117,7 @@ def K2q(q: int, method: str = "skein") -> LaurentPoly2:
     self-reference entirely via the g basis.
     """
     if q < 0:
-        raise NegativeIndex(f"K2q({q})")
+        raise NegativeIndex(f"K2q needs q >= 0, got {q}")
     if method not in K2Q_METHODS:
         raise ValueError(f"unknown method {method!r}")
     if q > MAX_Q:
@@ -164,5 +164,5 @@ def _k2q_closed(q: int) -> LaurentPoly2:
 def F2q(q: int, method: str = "skein") -> LaurentPoly2:
     """Writhe-normalized value a^-q K2q(q) for q >= 1."""
     if q < 1:
-        raise NegativeIndex(f"F2q({q})")
+        raise NegativeIndex(f"F2q needs q >= 1, got {q}")
     return LaurentPoly2({(-q, 0): 1}) * K2q(q, method)

@@ -126,6 +126,15 @@ def test_kauffman_negative_q_exits_1(capsys):
     assert "error" in err
 
 
+def test_kauffman_index_errors_name_the_bound(capsys):
+    code, out, err = invoke(capsys, "kauffman", "--q", "0", "--normalized")
+    assert (code, out) == (1, "")
+    assert err == "braidpoly: error: F2q needs q >= 1, got 0\n"
+    code, out, err = invoke(capsys, "kauffman", "--q", "-1")
+    assert (code, out) == (1, "")
+    assert err == "braidpoly: error: K2q needs q >= 0, got -1\n"
+
+
 def test_kauffman_json_validates(capsys):
     _, out, _ = invoke(capsys, "kauffman", "--q", "3", "--format", "json")
     payload = json.loads(out)
@@ -158,6 +167,24 @@ def test_graph_tait_and_dual(capsys):
     _, dual_out, _ = invoke(capsys, "graph", "--braid", "s1^2 s2^2", "--kind", "dual")
     assert dual_out.startswith("graph tait {")
     assert tait_out != dual_out
+
+
+def test_graph_builds_one_diagram_per_kind(capsys, monkeypatch):
+    from braidpoly import dimer
+    from braidpoly.diagram import build_diagram
+
+    calls = []
+
+    def counted(word):
+        calls.append(word)
+        return build_diagram(word)
+
+    monkeypatch.setattr(cli, "build_diagram", counted)
+    monkeypatch.setattr(dimer, "build_diagram", counted)
+    for kind in ("overlay", "tait", "dual"):
+        calls.clear()
+        code, _, _ = invoke(capsys, "graph", "--braid", "s1^2 s2^2", "--kind", kind)
+        assert (code, len(calls)) == (0, 1), kind
 
 
 def test_graph_json(capsys):

@@ -181,25 +181,24 @@ def test_matrix_json_round_structure():
     assert numeric["rows"] == [1, 2]
 
 
-def test_determinant_evaluates_letters_on_corpus_blocks():
-    # 328 blocks of at most 8 rows; the dense signed images are built here
-    blocks = 0
+def test_determinant_evaluates_letters_on_corpus_matrices():
+    # the whole matrix of each of the 168 corpus words, at most 12 rows;
+    # the dense signed images are built here
+    sizes = []
     for word in corpus_words():
-        g = prepare_overlay(word)
-        for cids, fids, _ in components(g):
-            m = adjacency_matrix(g, crossings=cids, faces=fids)
-            dense = [
-                [
-                    LaurentPoly1.zero()
-                    if cell is None
-                    else (BRACKET_IMAGE[cell[1]] if cell[0] > 0 else -BRACKET_IMAGE[cell[1]])
-                    for cell in row
-                ]
-                for row in m.entries
+        m = adjacency_matrix(prepare_overlay(word))
+        dense = [
+            [
+                LaurentPoly1.zero()
+                if cell is None
+                else (BRACKET_IMAGE[cell[1]] if cell[0] > 0 else -BRACKET_IMAGE[cell[1]])
+                for cell in row
             ]
-            assert determinant(m) == cofactor_det(dense)
-            blocks += 1
-    assert blocks == 328
+            for row in m.entries
+        ]
+        assert determinant(m) == cofactor_det(dense, max_size=12), word
+        sizes.append(len(m.rows))
+    assert (len(sizes), max(sizes)) == (168, 12)
 
 
 def test_bareiss_upper_triangular_is_diagonal_product():
@@ -336,7 +335,7 @@ def test_bareiss_matches_cofactor_on_random_matrices(seed, n, kind):
         row_perm, col_perm = rng.sample(range(n), n), rng.sample(range(n), n)
         rows = [[rows[i][j] for j in col_perm] for i in row_perm]
     elif kind == "chain":
-        # the shape of a crossing-by-face block: a unit bidiagonal, one or
+        # the shape of a crossing-by-face matrix: a unit bidiagonal, one or
         # two dense columns of general entries, rows and columns shuffled
         n += 3
         rows = [[z] * n for _ in range(n)]
@@ -379,7 +378,7 @@ def torus_bracket(q: int) -> LaurentPoly1:
     return total
 
 
-# s1 s2^1050 has a block whose matching path is longer than the recursion limit
+# s1 s2^1050 has a matrix whose matching path is longer than the recursion limit
 @pytest.mark.parametrize("text", ["s1^160 s2^160", "s1^-60 s2^-60 s3^-60", "s1 s2^1050"])
 def test_bracket_via_det_equals_connected_sum_product(text):
     # the closure is a connected sum of (2, m_i) torus links, and the
@@ -421,16 +420,6 @@ def test_sign_fixed_determinant_equals_partition_function(word):
 @given(family_words())
 def test_bracket_via_det_matches_state_sum(word):
     assert bracket_via_det(word) == bracket_state_sum(build_diagram(word))
-
-
-def test_per_component_equals_global_route():
-    # bracket_via_det multiplies per-component blocks; the whole matrix
-    # must give the same value
-    for text in ("s1^2 s2^3", "s1^-3 s2^-2 s3^-4", "s1 s2 s3"):
-        word = parse_braid(text)
-        g = prepare_overlay(word)
-        m = adjacency_matrix(g)
-        assert bracket_via_det(word) == LaurentPoly1.term(fix_sign(m), 0) * determinant(m)
 
 
 def test_trefoil_jones_via_det_golden():
@@ -486,10 +475,10 @@ def test_wide_word_needs_no_big_division():
 
 
 def test_family_words_never_reach_the_bareiss_rest(monkeypatch):
-    # peeling and unit steps take every pivot of a family word's blocks,
+    # peeling and unit steps take every pivot of a family word's matrix,
     # so the det path divides by nothing but units
     def refuse(*args):
-        raise AssertionError("a family block reached the Bareiss rest")
+        raise AssertionError("a family matrix reached the Bareiss rest")
 
     monkeypatch.setattr(dimer, "_bareiss_rest", refuse)
     for word in corpus_words():
@@ -519,6 +508,25 @@ def test_components_are_computed_once_per_word(monkeypatch):
     word = parse_braid("s1^2 s2^3 s3 s4^2")
     assert bracket_via_det(word) == bracket_state_sum(build_diagram(word))
     assert len(calls) == 1
+
+
+def test_bracket_via_det_takes_one_whole_matrix_per_word(monkeypatch):
+    # the last three overlays have two components; the matrix stays whole
+    seen = []
+
+    def spy(m, ops=None):
+        seen.append(m)
+        return determinant(m, ops)
+
+    monkeypatch.setattr(dimer, "determinant", spy)
+    for text in ("s1^3", "s1^2 s2^3", "s1^-3 s2^-2 s3^-4", "s1 s2 s3"):
+        word = parse_braid(text)
+        seen.clear()
+        assert bracket_via_det(word) == bracket_state_sum(build_diagram(word))
+        whole = adjacency_matrix(prepare_overlay(word))
+        assert [(m.rows, m.cols, m.sparse) for m in seen] == [
+            (whole.rows, whole.cols, whole.sparse)
+        ], text
 
 
 def test_kasteleyn_is_idempotent_enough():

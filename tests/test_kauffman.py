@@ -131,13 +131,13 @@ def test_f2q_z_support_parity():
 
 
 def test_negative_indices_rejected():
-    with pytest.raises(NegativeIndex):
+    with pytest.raises(NegativeIndex, match=r"^P needs q >= 0, got -1$"):
         P(-1)
-    with pytest.raises(NegativeIndex):
+    with pytest.raises(NegativeIndex, match=r"^g needs n >= 0, got -2$"):
         g(-2)
-    with pytest.raises(NegativeIndex):
+    with pytest.raises(NegativeIndex, match=r"^K2q needs q >= 0, got -1$"):
         K2q(-1)
-    with pytest.raises(NegativeIndex):
+    with pytest.raises(NegativeIndex, match=r"^F2q needs q >= 1, got 0$"):
         F2q(0)
     with pytest.raises(ValueError):
         K2q(3, "magic")

@@ -11,14 +11,14 @@ clean checkout is refused, since both sides would be the same tree.  Each
 side runs its own ``perfbench/run.py`` on its own ``src/``, one process at
 a time, for BENCHMARK.json's ``run_seconds``.
 
-For each workload, pair k runs ``--trace 0`` on both sides with seed
-``--seed + k``, the parent first in even pairs and the change first in
-odd ones, so a machine that drifts within a pair favours neither side.
-One ``--trace 1`` run per side follows, on seed ``--seed``.  The JSON file
-holds, per workload, whether every run answered correctly, traced runs
-included; per end-to-end metric, every run's value, each side's median
-and quartiles, and how many pairs the change won; and each side's
-per-layer metrics from its traced run.
+For each workload, pair k (counting from 0) runs ``--trace 0`` on both
+sides with seed k + 1, the parent first in even pairs and the change
+first in odd ones, so a machine that drifts within a pair favours
+neither side.  One ``--trace 1`` run per side follows, on seed 1.  The
+JSON file holds, per workload, whether every run answered correctly,
+traced runs included; per end-to-end metric, every run's value, each
+side's median and quartiles, and how many pairs the change won; and
+each side's per-layer metrics from its traced run.
 """
 
 from __future__ import annotations
@@ -125,12 +125,12 @@ def main() -> int:
     parser.add_argument("--parent", required=True, help="revision to compare against")
     parser.add_argument("--workloads", default=",".join(WORKLOADS))
     parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seed", type=int, default=61)
     args = parser.parse_args()
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     seconds = spec["run_seconds"]
     names = args.workloads.split(",")
+    seeds = [k + 1 for k in range(args.pairs)]
     parent, head = git("rev-parse", args.parent), git("rev-parse", "HEAD")
     dirty = bool(git("status", "--porcelain"))
     if parent == head and not dirty:
@@ -143,9 +143,7 @@ def main() -> int:
             "python": platform.python_version(),
             "platform": platform.platform(),
         },
-        "settings": {"pairs": args.pairs, "seconds": seconds, "seeds": [
-            args.seed + k for k in range(args.pairs)
-        ]},
+        "settings": {"pairs": args.pairs, "seconds": seconds, "seeds": seeds},
         "workloads": {},
     }
     with tempfile.TemporaryDirectory() as tmp:
@@ -153,16 +151,14 @@ def main() -> int:
         sides = {"parent": Path(tmp) / "tree", "change": ROOT}
         for workload in names:
             runs = {"parent": [], "change": []}
-            for k in range(args.pairs):
+            for k, seed in enumerate(seeds):
                 order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
                 for side in order:
-                    runs[side].append(bench(sides[side], workload, args.seed + k, seconds, 0))
+                    runs[side].append(bench(sides[side], workload, seed, seconds, 0))
                 rate = {side: runs[side][-1]["metrics"]["words_per_s"] for side in sides}
                 print(f"{workload} pair {k + 1}/{args.pairs}: words_per_s change/parent "
                       f"{rate['change'] / rate['parent']:.3f}", file=sys.stderr)
-            traced = {
-                side: bench(sides[side], workload, args.seed, seconds, 1) for side in sides
-            }
+            traced = {side: bench(sides[side], workload, 1, seconds, 1) for side in sides}
             report["workloads"][workload] = workload_report(runs, traced, spec)
     path = ROOT / f"BENCH_{args.number}.json"
     path.write_text(json.dumps(report, indent=1) + "\n")
