@@ -5,8 +5,9 @@ import sys
 import jsonschema
 import pytest
 
-from braidpoly import cli
+from braidpoly import cli, dimer
 from braidpoly.cli import run
+from braidpoly.diagram import build_diagram
 from braidpoly.dimer import MAX_DET_CROSSINGS
 from braidpoly.kauffman import F2q
 from braidpoly.laurent import LAURENT1_JSON_SCHEMA, LAURENT2_JSON_SCHEMA, LaurentPoly1
@@ -170,9 +171,6 @@ def test_graph_tait_and_dual(capsys):
 
 
 def test_graph_builds_one_diagram_per_kind(capsys, monkeypatch):
-    from braidpoly import dimer
-    from braidpoly.diagram import build_diagram
-
     calls = []
 
     def counted(word):
