@@ -13,8 +13,11 @@ Conventions, fixed once:
   The compass names only matter while wiring arcs; afterwards all
   structure is slot arithmetic.
 * Corner ``s`` of a crossing is the quadrant swept counterclockwise
-  from slot ``s`` to slot ``s+1``.  A corner is named by the dart
-  ``(crossing_id, s)``.
+  from slot ``s`` to slot ``s+1``.  Slot ``s`` of crossing ``k`` and the
+  corner it opens are both named by one integer, the dart
+  ``4 * (k - 1) + s``.  Darts sort like the pairs ``(k, s)``, and every
+  per-dart table (``theta``, ``face_index``) is a flat list indexed by
+  dart.
 * Closure arcs run around the right side, the arc for strand position
   ``p`` nested inside the arc for ``p-1``, so position ``n`` closes
   innermost.
@@ -43,10 +46,11 @@ __all__ = [
     "close_braid",
     "checkerboard",
     "build_diagram",
+    "dart",
     "rotate_cw",
 ]
 
-Dart = tuple[int, int]
+Dart = int
 
 # compass -> slot, per crossing sign
 _COMPASS = {
@@ -55,9 +59,13 @@ _COMPASS = {
 }
 
 
-def rotate_cw(dart: Dart) -> Dart:
-    k, s = dart
-    return (k, (s - 1) % 4)
+def dart(crossing_id: int, slot: int) -> Dart:
+    return 4 * (crossing_id - 1) + slot
+
+
+def rotate_cw(d: Dart) -> Dart:
+    """The previous slot of the same crossing."""
+    return d - 1 if d & 3 else d + 3
 
 
 @dataclass
@@ -84,9 +92,9 @@ class Face:
 class LinkDiagram:
     word: BraidWord
     crossings: tuple[Crossing, ...]
-    theta: dict[Dart, Dart]
+    theta: list[Dart]
     faces: list[Face] = field(default_factory=list)
-    face_index: dict[Dart, int] = field(default_factory=dict)
+    face_index: list[int] = field(default_factory=list)
     closure_darts: dict[int, tuple[Dart, Dart]] = field(default_factory=dict)
     outer_face: int = -1
     free_loops: int = 0
@@ -96,18 +104,12 @@ class LinkDiagram:
         return len(self.crossings)
 
     @property
-    def arcs(self) -> list[frozenset[Dart]]:
-        seen = set()
-        out = []
-        for d1, d2 in self.theta.items():
-            arc = frozenset((d1, d2))
-            if arc not in seen:
-                seen.add(arc)
-                out.append(arc)
-        return out
+    def arcs(self) -> list[tuple[Dart, Dart]]:
+        """Each arc once, as its two darts in increasing order."""
+        return [(d1, d2) for d1, d2 in enumerate(self.theta) if d1 < d2]
 
-    def face_of(self, dart: Dart) -> Face:
-        return self.faces[self.face_index[dart]]
+    def face_of(self, corner: Dart) -> Face:
+        return self.faces[self.face_index[corner]]
 
     def shaded_faces(self) -> list[Face]:
         return [f for f in self.faces if f.shaded]
@@ -125,11 +127,11 @@ class LinkDiagram:
                 }
                 for c in self.crossings
             ],
-            "arcs": sorted(sorted(map(list, arc)) for arc in self.arcs),
+            "arcs": [[_pair(d1), _pair(d2)] for d1, d2 in self.arcs],
             "faces": [
                 {
                     "id": f.id,
-                    "corners": [list(d) for d in f.corners],
+                    "corners": [_pair(d) for d in f.corners],
                     "shaded": f.shaded,
                     "outer": f.is_outer,
                 }
@@ -137,6 +139,11 @@ class LinkDiagram:
             ],
             "free_loops": self.free_loops,
         }
+
+
+def _pair(d: Dart) -> list[int]:
+    """A dart as ``[crossing_id, slot]``."""
+    return [(d >> 2) + 1, d & 3]
 
 
 def close_braid(word: BraidWord) -> LinkDiagram:
@@ -160,7 +167,7 @@ def close_braid(word: BraidWord) -> LinkDiagram:
         Crossing(cid, gen, sign)
         for cid, (gen, sign) in enumerate(word.crossings(), start=1)
     )
-    theta: dict[Dart, Dart] = {}
+    theta = [0] * (4 * len(crossings))
 
     def join(d1: Dart, d2: Dart) -> None:
         theta[d1] = d2
@@ -170,7 +177,7 @@ def close_braid(word: BraidWord) -> LinkDiagram:
     top_attach: dict[int, Dart] = {}
     for c in crossings:
         compass = _COMPASS[c.oriented_sign]
-        ends = {name: (c.id, slot) for name, slot in compass.items()}
+        ends = {name: dart(c.id, slot) for name, slot in compass.items()}
         for pos, top_end in ((c.generator_index, ends["NW"]), (c.generator_index + 1, ends["NE"])):
             below = dangling[pos]
             if below is None:
@@ -195,21 +202,25 @@ def close_braid(word: BraidWord) -> LinkDiagram:
 
 
 def _trace_faces(d: LinkDiagram) -> None:
-    """Orbit decomposition of dart -> clockwise-rotated arc partner."""
-    all_darts = sorted(d.theta)
-    assigned: dict[Dart, int] = {}
+    """Orbit decomposition of dart -> clockwise-rotated arc partner.
+
+    Each orbit is traced from the lowest dart not yet assigned, so face
+    ids ascend with each face's lowest dart.
+    """
+    theta = d.theta
+    assigned = [-1] * len(theta)
     faces: list[Face] = []
-    for start in all_darts:
-        if start in assigned:
+    for start in range(len(theta)):
+        if assigned[start] >= 0:
             continue
         fid = len(faces)
         orbit = []
-        dart = start
-        while dart not in assigned:
-            assigned[dart] = fid
-            orbit.append(dart)
-            dart = rotate_cw(d.theta[dart])
-        if dart != start:
+        at = start
+        while assigned[at] < 0:
+            assigned[at] = fid
+            orbit.append(at)
+            at = rotate_cw(theta[at])
+        if at != start:
             raise ColoringContradiction("face tracing closed on a foreign dart")
         faces.append(Face(fid, tuple(orbit)))
     d.faces = faces
@@ -235,21 +246,21 @@ def checkerboard(d: LinkDiagram) -> LinkDiagram:
     queue = deque([d.outer_face])
     while queue:
         fid = queue.popleft()
-        for dart in d.faces[fid].corners:
-            neighbour = d.face_index[rotate_cw(dart)]
+        for corner in d.faces[fid].corners:
+            neighbour = d.face_index[rotate_cw(corner)]
             if neighbour not in shade:
                 shade[neighbour] = not shade[fid]
                 queue.append(neighbour)
             elif shade[neighbour] == shade[fid]:
                 raise ColoringContradiction(
-                    f"faces {fid} and {neighbour} collide at corner {dart}"
+                    f"faces {fid} and {neighbour} collide at corner {_pair(corner)}"
                 )
     if len(shade) != len(d.faces):
         raise ColoringContradiction("shading did not reach every face")
     for f in d.faces:
         f.shaded = shade[f.id]
     for c in d.crossings:
-        shaded_corners = {s for s in range(4) if d.face_of((c.id, s)).shaded}
+        shaded_corners = {s for s in range(4) if d.face_of(dart(c.id, s)).shaded}
         if shaded_corners == {0, 2}:
             c.checkerboard_sign = 1
         elif shaded_corners == {1, 3}:
@@ -267,7 +278,7 @@ def build_diagram(word: BraidWord) -> LinkDiagram:
 
 
 def _unknot_diagram(word: BraidWord) -> LinkDiagram:
-    d = LinkDiagram(word, (), {}, free_loops=1)
+    d = LinkDiagram(word, (), [], free_loops=1)
     d.faces = [Face(0, (), is_outer=True), Face(1, ())]
     d.outer_face = 0
     return d

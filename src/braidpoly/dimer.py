@@ -24,11 +24,12 @@ operations grows about linearly with the crossing count.
 
 Signing is a GF(2) solve: one unknown per edge, one parity equation
 per traced face, where a face of boundary length 2k wants its negative
-edge count congruent to k + 1 mod 2.  All faces are included; for a
-component with an even vertex count the unbounded equation is the sum
-of the bounded ones, so nothing is overconstrained.  An odd component
-has no perfect matching at all: its faces are left out of the solve,
-its signs stay +1, and the whole matrix has determinant zero.
+edge count congruent to k + 1 mod 2.  All faces are included; in each
+component the unbounded equation is the sum of the bounded ones, so
+nothing is overconstrained.  Every component has as many crossings as
+faces: one that had not would have no perfect matching, so the matching
+sum, which is the bracket, would be 0.  The bracket never is; at A = 1
+it is +-2^(mu - 1) for a link of mu components.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from .errors import NoKasteleynSolution, NotDivisible
 from .kauffman import BRACKET_IMAGE
 from .laurent import LaurentPoly1
 from .oracle import writhe_correction
-from .overlay import OverlayGraph, build_overlay, components, overlay_activity_letters
+from .overlay import OverlayGraph, build_overlay, overlay_activity_letters
 
 __all__ = [
     "MAX_DET_CROSSINGS",
@@ -66,8 +67,8 @@ __all__ = [
 
 # The CLI refuses longer words for every braid command, since no method
 # reaches further.  In process on a 2-core Xeon VM with Python 3.11,
-# jones_via_det takes about 0.05 s on s1 s2^999 and 0.07-0.10 s on the
-# wide words s1^50 ... s20^50, s1^25 ... s40^25 and s1^10 ... s100^10.
+# jones_via_det takes at most 0.09 s on each of s1 s2^999 and the wide
+# words s1^50 ... s20^50, s1^25 ... s40^25 and s1^10 ... s100^10.
 MAX_DET_CROSSINGS = 1000
 
 
@@ -188,17 +189,11 @@ def embedding_faces(g: OverlayGraph) -> list[tuple[int, ...]]:
 def kasteleyn_sign(g: OverlayGraph) -> OverlayGraph:
     """Assign edge signs satisfying the face parity rule, in place.
 
-    Components share no edge, so one solve over the faces of all even
-    components equals a separate solve per component.
+    Components share no edge, so one solve over all faces equals a
+    separate solve per component.
     """
-    odd_edges: set[int] = set()
-    for cids, fids, eids in components(g):
-        if (len(cids) + len(fids)) % 2:
-            odd_edges.update(eids)
     equations = []
     for walk in embedding_faces(g):
-        if walk[0] in odd_edges:
-            continue
         mask = 0
         for edge_idx in walk:  # an edge walked twice cancels
             mask ^= 1 << edge_idx

@@ -40,14 +40,6 @@ DEFAULT_CROSSING_CAP = 24
 _LOOP_FACTOR = LaurentPoly1({2: -1, -2: -1})
 
 
-def _flatten(d: LinkDiagram) -> list[int]:
-    """Arc involution as a flat array over darts numbered 4(k-1)+s."""
-    theta = [0] * (4 * d.crossing_count)
-    for (k, s), (k2, s2) in d.theta.items():
-        theta[4 * (k - 1) + s] = 4 * (k2 - 1) + s2
-    return theta
-
-
 def _sum_states(theta: list[int], crossings: int, free_loops: int, lo: int, hi: int) -> dict[int, int]:
     """Partial bracket over the state range [lo, hi), as a term dict."""
     n_darts = 4 * crossings
@@ -104,7 +96,7 @@ def bracket_state_sum(
     """
     c = d.crossing_count
     _check_cap(c, max_crossings)
-    theta = _flatten(d)
+    theta = d.theta
     total = 1 << c
     if parallel and c >= 12:
         from multiprocessing import Pool

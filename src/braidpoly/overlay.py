@@ -1,17 +1,19 @@
 """The balanced crossing/face incidence graph and its dimer sum.
 
 Vertices on one side are the crossings in word order; on the other,
-every face except two.  The deleted pair is the two faces flanking the
+every face except two, the shaded ones first and each kind in face-id
+order.  The deleted pair is the two faces flanking the
 closure arc of strand position 2; they always have opposite shading,
 neither is the outer face, and dropping them balances the graph (faces
 minus two equals crossings).  For two-strand closures this is the
 innermost pair on the right.
 
 Each surviving face gets one edge per incident crossing, even when the
-boundary touches that crossing at both opposite quadrants; the lowest
-touched slot serves as the representative corner, which also anchors
-the embedding (rotation at a crossing = corner order, rotation at a
-face = representative order along its boundary walk).
+boundary touches that crossing at both opposite quadrants.  The edge's
+corner is the first of the crossing's four darts, in slot order, that
+lies in the face.  Corners anchor the embedding: the rotation at a
+crossing is its edges in slot order, and the rotation at a face is its
+edges' corners in the order of its boundary walk.
 
 Those two rotations are also the graph's incidence index:
 ``crossing_rotation[cid]`` holds the edge positions at a crossing and
@@ -32,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .activity import ActivityWord, signed_letter
-from .diagram import Dart, LinkDiagram
+from .diagram import Dart, LinkDiagram, dart
 from .errors import TooManyCrossings, UnbalancedGraph, UnsupportedWord
 from .kauffman import specialize_bracket
 from .laurent import LaurentPoly1
@@ -84,56 +86,39 @@ def build_overlay(d: LinkDiagram) -> OverlayGraph:
         raise UnbalancedGraph("deletion picked one face twice")
 
     crossings = tuple(c.id for c in d.crossings)
-    shaded_ids = sorted(
-        (f.id for f in d.faces if f.shaded and f.id not in deleted),
-        key=lambda fid: (min(k for k, _ in d.faces[fid].corners), fid),
-    )
-    unshaded_ids = sorted(
-        (f.id for f in d.faces if not f.shaded and f.id not in deleted),
-        key=lambda fid: (min(k for k, _ in d.faces[fid].corners), fid),
-    )
+    shaded_ids = [f.id for f in d.faces if f.shaded and f.id not in deleted]
+    unshaded_ids = [f.id for f in d.faces if not f.shaded and f.id not in deleted]
     faces = tuple(shaded_ids + unshaded_ids)
     if len(faces) != len(crossings):
         raise UnbalancedGraph(
             f"{len(faces)} face vertices against {len(crossings)} crossings"
         )
 
-    # representative corner of each surviving (crossing, face) incidence
-    reps: dict[tuple[int, int], Dart] = {}
-    for f in d.faces:
-        if f.id in deleted:
-            continue
-        for k, s in f.corners:
-            key = (k, f.id)
-            if key not in reps or s < reps[key][1]:
-                reps[key] = (k, s)
-
+    # edges run by crossing, then by face order; rotations by slot order
     face_pos = {fid: j for j, fid in enumerate(faces)}
-    edge_keys = sorted(reps, key=lambda key: (key[0], face_pos[key[1]]))
-    edges = tuple(OverlayEdge(k, fid, reps[(k, fid)]) for k, fid in edge_keys)
-    edge_index = {(e.crossing_id, e.face_id): i for i, e in enumerate(edges)}
-
-    at_crossing: dict[int, list[int]] = {cid: [] for cid in crossings}
-    for i, e in enumerate(edges):
-        at_crossing[e.crossing_id].append(i)
-    crossing_rotation = {
-        cid: tuple(sorted(incident, key=lambda i: edges[i].corner[1]))
-        for cid, incident in at_crossing.items()
+    edges: list[OverlayEdge] = []
+    edge_at: dict[Dart, int] = {}  # corner -> edge position
+    crossing_rotation = {}
+    for k in crossings:
+        first: dict[int, Dart] = {}  # face -> corner, in slot order
+        for corner in [dart(k, s) for s in range(4)]:
+            fid = d.face_index[corner]
+            if fid in face_pos and fid not in first:
+                first[fid] = corner
+        for fid in sorted(first, key=face_pos.__getitem__):
+            edge_at[first[fid]] = len(edges)
+            edges.append(OverlayEdge(k, fid, first[fid]))
+        crossing_rotation[k] = tuple(edge_at[corner] for corner in first.values())
+    face_rotation = {
+        fid: tuple(edge_at[c] for c in d.faces[fid].corners if c in edge_at)
+        for fid in faces
     }
-    face_rotation = {}
-    for fid in faces:
-        around = []
-        for corner in d.faces[fid].corners:
-            i = edge_index.get((corner[0], fid))
-            if i is not None and edges[i].corner == corner:
-                around.append(i)
-        face_rotation[fid] = tuple(around)
 
     return OverlayGraph(
         crossings,
         faces,
         frozenset(shaded_ids),
-        edges,
+        tuple(edges),
         crossing_rotation,
         face_rotation,
         {c.id: c.checkerboard_sign for c in d.crossings},

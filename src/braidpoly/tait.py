@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .activity import ActivityWord, signed_letter
-from .diagram import LinkDiagram
+from .diagram import LinkDiagram, dart
 from .errors import TooManyCrossings
 from .kauffman import specialize_bracket
 from .laurent import LaurentPoly1
@@ -60,8 +60,8 @@ class TaitGraph:
 
 def _corner_faces(d: LinkDiagram, cid: int, corners: tuple[int, int]) -> tuple[int, int]:
     return (
-        d.face_index[(cid, corners[0])],
-        d.face_index[(cid, corners[1])],
+        d.face_index[dart(cid, corners[0])],
+        d.face_index[dart(cid, corners[1])],
     )
 
 

@@ -1,10 +1,18 @@
+import hashlib
+import json
+
 import pytest
 from hypothesis import given
 
 from braidpoly.braid import BraidWord, parse_braid
 from braidpoly.diagram import build_diagram, close_braid
 from braidpoly.errors import DisconnectedLink
-from words import connected_words, family_words
+from words import connected_words, corpus_words, family_words
+
+
+def dart(k: int, s: int) -> int:
+    """Slot s of crossing k, as the diagram numbers its darts."""
+    return 4 * (k - 1) + s
 
 
 def test_single_crossing_closure():
@@ -24,32 +32,32 @@ def test_trefoil_structure():
 
     pairs = {frozenset(a) for a in d.arcs}
     assert pairs == {
-        frozenset({(1, 1), (3, 2)}),
-        frozenset({(1, 0), (3, 3)}),
-        frozenset({(1, 2), (2, 1)}),
-        frozenset({(1, 3), (2, 0)}),
-        frozenset({(2, 2), (3, 1)}),
-        frozenset({(2, 3), (3, 0)}),
+        frozenset({dart(1, 1), dart(3, 2)}),
+        frozenset({dart(1, 0), dart(3, 3)}),
+        frozenset({dart(1, 2), dart(2, 1)}),
+        frozenset({dart(1, 3), dart(2, 0)}),
+        frozenset({dart(2, 2), dart(3, 1)}),
+        frozenset({dart(2, 3), dart(3, 0)}),
     }
 
     orbits = {frozenset(f.corners) for f in d.faces}
     assert orbits == {
-        frozenset({(1, 1), (3, 1), (2, 1)}),
-        frozenset({(1, 0), (3, 2)}),
-        frozenset({(1, 2), (2, 0)}),
-        frozenset({(2, 2), (3, 0)}),
-        frozenset({(1, 3), (2, 3), (3, 3)}),
+        frozenset({dart(1, 1), dart(3, 1), dart(2, 1)}),
+        frozenset({dart(1, 0), dart(3, 2)}),
+        frozenset({dart(1, 2), dart(2, 0)}),
+        frozenset({dart(2, 2), dart(3, 0)}),
+        frozenset({dart(1, 3), dart(2, 3), dart(3, 3)}),
     }
 
     outer = d.faces[d.outer_face]
-    assert frozenset(outer.corners) == frozenset({(1, 1), (3, 1), (2, 1)})
+    assert frozenset(outer.corners) == frozenset({dart(1, 1), dart(3, 1), dart(2, 1)})
     assert not outer.shaded
 
     shaded = {frozenset(f.corners) for f in d.shaded_faces()}
     assert shaded == {
-        frozenset({(1, 0), (3, 2)}),
-        frozenset({(1, 2), (2, 0)}),
-        frozenset({(2, 2), (3, 0)}),
+        frozenset({dart(1, 0), dart(3, 2)}),
+        frozenset({dart(1, 2), dart(2, 0)}),
+        frozenset({dart(2, 2), dart(3, 0)}),
     }
     assert [c.checkerboard_sign for c in d.crossings] == [1, 1, 1]
 
@@ -104,20 +112,44 @@ def test_debug_json_shape():
     assert sum(f["shaded"] for f in doc["faces"]) == 3
 
 
+DEBUG_JSON_SHA256 = "0a55416f5988cc64e8d7b704ff10440ad48c953054caadfae033328277833a00"
+
+
+def test_debug_json_is_pinned():
+    # every corpus word, the unknot and a few mixed-sign words, in order
+    words = corpus_words() + [BraidWord(1, ())] + [
+        parse_braid(text)
+        for text in (
+            "s1 s2^-1 s1 s2^-1",
+            "s1^2 s2^-1 s3 s2^2",
+            "s1^-1 s2 s1^-2 s3^-1 s2",
+            "s2 s1^-1 s2^3 s1 s3^-2",
+        )
+    ]
+    digest = hashlib.sha256()
+    for word in words:
+        digest.update(json.dumps(build_diagram(word).to_debug_json()).encode())
+        digest.update(b"\n")
+    assert digest.hexdigest() == DEBUG_JSON_SHA256
+
+
 @given(connected_words())
 def test_euler_face_count(word):
     d = build_diagram(word)
     assert len(d.faces) == d.crossing_count + 2
     assert sum(len(f.corners) for f in d.faces) == 4 * d.crossing_count
+    lowest = [min(f.corners) for f in d.faces]
+    assert lowest == sorted(lowest)
 
 
 @given(connected_words())
 def test_theta_is_a_fixed_point_free_involution(word):
     d = build_diagram(word)
-    assert set(d.theta) == {(c.id, s) for c in d.crossings for s in range(4)}
-    for dart, partner in d.theta.items():
-        assert d.theta[partner] == dart
-        assert partner != dart
+    assert len(d.theta) == 4 * d.crossing_count
+    assert set(range(len(d.theta))) == {dart(c.id, s) for c in d.crossings for s in range(4)}
+    for end, partner in enumerate(d.theta):
+        assert d.theta[partner] == end
+        assert partner != end
 
 
 @given(connected_words())
@@ -127,7 +159,7 @@ def test_coloring_proper_and_quadrants_alternate(word):
     assert outer.is_outer and not outer.shaded
     assert sum(f.is_outer for f in d.faces) == 1
     for c in d.crossings:
-        shading = [d.face_of((c.id, s)).shaded for s in range(4)]
+        shading = [d.face_of(dart(c.id, s)).shaded for s in range(4)]
         assert shading in ([True, False, True, False], [False, True, False, True])
         assert c.checkerboard_sign == (1 if shading[0] else -1)
 

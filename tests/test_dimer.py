@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from braidpoly import dimer
+from braidpoly import dimer, overlay
 from braidpoly.activity import ActivityWord
 from braidpoly.braid import parse_braid
 from braidpoly.diagram import build_diagram
@@ -89,6 +89,9 @@ def test_parity_rule_holds_on_family_sample():
 @given(family_words())
 def test_parity_rule_holds_on_random_family_words(word):
     g = prepare_overlay(word)
+    # the solve takes every face, so every component must be balanced
+    for cids, fids, _ in components(g):
+        assert len(cids) == len(fids)
     for walk in embedding_faces(g):
         assert negative_count(g, walk) % 2 == (len(walk) // 2 + 1) % 2
 
@@ -497,17 +500,18 @@ def test_family_words_never_reach_the_bareiss_rest(monkeypatch):
         assert bracket_via_det(word) == expected
 
 
-def test_components_are_computed_once_per_word(monkeypatch):
+def test_det_path_computes_no_components(monkeypatch):
     calls = []
 
     def counted(g):
         calls.append(g)
         return components(g)
 
-    monkeypatch.setattr(dimer, "components", counted)
+    monkeypatch.setattr(overlay, "components", counted)
+    monkeypatch.setattr(dimer, "components", counted, raising=False)
     word = parse_braid("s1^2 s2^3 s3 s4^2")
     assert bracket_via_det(word) == bracket_state_sum(build_diagram(word))
-    assert len(calls) == 1
+    assert calls == []
 
 
 def test_bracket_via_det_takes_one_whole_matrix_per_word(monkeypatch):

@@ -1,11 +1,14 @@
+import hashlib
+import random
 from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 
 from braidpoly.activity import ActivityWord
-from braidpoly.braid import parse_braid
+from braidpoly.braid import BraidWord, parse_braid
 from braidpoly.diagram import build_diagram
+from braidpoly.dimer import prepare_overlay
 from braidpoly.errors import TooManyCrossings, UnsupportedWord
 from braidpoly.laurent import LaurentPoly1
 from braidpoly.oracle import bracket_state_sum
@@ -21,7 +24,7 @@ from braidpoly.overlay import (
     perfect_matchings,
 )
 from braidpoly.tait import build_tait, spanning_trees, tree_activity_word
-from words import family_words
+from words import corpus_words, family_words
 
 
 def overlay_of(text: str) -> OverlayGraph:
@@ -223,3 +226,30 @@ def test_word_length_and_bars(word):
         assert e.letter.endswith("~") == (e.crossing_id in negative)
     for m in perfect_matchings(g):
         assert len(matching_word(g, m)) == len(g.crossings)
+
+
+SIGNED_OVERLAYS_SHA256 = "993a7b921f0a41a27e1fabfdbc25be00f7e2352ea26988f20adf8cc8ecc42d9f"
+
+
+def pinned_family_words():
+    """The corpus, then 60 seeded family words of up to 8 generators."""
+    rng = random.Random(10)
+    words = corpus_words()
+    for _ in range(60):
+        n = rng.randint(2, 9)
+        sign = rng.choice([1, -1])
+        words.append(
+            BraidWord(n, tuple((i + 1, sign * rng.randint(1, 12)) for i in range(n - 1)))
+        )
+    return words
+
+
+def test_signed_overlays_are_pinned():
+    # the edge corners fix the face rotations, and through them the
+    # Kasteleyn signs; a different corner can keep every determinant
+    digest = hashlib.sha256()
+    for word in pinned_family_words():
+        g = prepare_overlay(word)
+        digest.update(repr((g.crossing_rotation, g.face_rotation)).encode())
+        digest.update(overlay_to_dot(g).encode())
+    assert digest.hexdigest() == SIGNED_OVERLAYS_SHA256
