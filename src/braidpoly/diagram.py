@@ -32,8 +32,8 @@ a positive torus braid closure comes out +1 under this rule.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
+from itertools import count
 
 from .braid import BraidWord
 from .errors import ColoringContradiction, DisconnectedLink
@@ -47,28 +47,19 @@ __all__ = [
     "checkerboard",
     "build_diagram",
     "dart",
-    "rotate_cw",
 ]
 
 Dart = int
 
-# compass -> slot, per crossing sign
-_COMPASS = {
-    1: {"NE": 0, "NW": 1, "SW": 2, "SE": 3},
-    -1: {"NE": 3, "NW": 0, "SW": 1, "SE": 2},
-}
+# slots of a crossing's (NW, NE, SW, SE) ends, per crossing sign
+_ENDS = {1: (1, 0, 2, 3), -1: (0, 3, 1, 2)}
 
 
 def dart(crossing_id: int, slot: int) -> Dart:
     return 4 * (crossing_id - 1) + slot
 
 
-def rotate_cw(d: Dart) -> Dart:
-    """The previous slot of the same crossing."""
-    return d - 1 if d & 3 else d + 3
-
-
-@dataclass
+@dataclass(slots=True)
 class Crossing:
     """One crossing, identified by its 1-based position in the word."""
 
@@ -78,7 +69,7 @@ class Crossing:
     checkerboard_sign: int | None = None
 
 
-@dataclass
+@dataclass(slots=True)
 class Face:
     """A complementary region, as the cyclic list of its corner darts."""
 
@@ -95,7 +86,8 @@ class LinkDiagram:
     theta: list[Dart]
     faces: list[Face] = field(default_factory=list)
     face_index: list[int] = field(default_factory=list)
-    closure_darts: dict[int, tuple[Dart, Dart]] = field(default_factory=dict)
+    # bottom and top dart of strand position 2's closure arc; () on one strand
+    closure_darts: tuple[Dart, ...] = ()
     outer_face: int = -1
     free_loops: int = 0
 
@@ -163,38 +155,34 @@ def close_braid(word: BraidWord) -> LinkDiagram:
             f"closure of {word.to_text()!r} on {word.strands} strands splits"
         )
 
-    crossings = tuple(
-        Crossing(cid, gen, sign)
-        for cid, (gen, sign) in enumerate(word.crossings(), start=1)
-    )
+    crossings = tuple(map(Crossing, count(1), *zip(*word.crossings())))
     theta = [0] * (4 * len(crossings))
-
-    def join(d1: Dart, d2: Dart) -> None:
-        theta[d1] = d2
-        theta[d2] = d1
-
-    dangling: dict[int, Dart | None] = {p: None for p in range(1, word.strands + 1)}
-    top_attach: dict[int, Dart] = {}
-    for c in crossings:
-        compass = _COMPASS[c.oriented_sign]
-        ends = {name: dart(c.id, slot) for name, slot in compass.items()}
-        for pos, top_end in ((c.generator_index, ends["NW"]), (c.generator_index + 1, ends["NE"])):
+    # per strand position: the end its strand hangs from (None above its
+    # first crossing), and the end it entered the braid at
+    dangling: list[Dart | None] = [None] * (word.strands + 1)
+    top_attach = [0] * (word.strands + 1)
+    first = 0  # dart 0 of the syllable's first crossing
+    for gen, m in word.syllables:
+        last = first + 4 * (abs(m) - 1)
+        nw, ne, sw, se = _ENDS[1 if m > 0 else -1]
+        for pos, top, bottom in ((gen, nw, sw), (gen + 1, ne, se)):
             below = dangling[pos]
             if below is None:
-                top_attach[pos] = top_end
+                top_attach[pos] = first + top
             else:
-                join(below, top_end)
-        dangling[c.generator_index] = ends["SW"]
-        dangling[c.generator_index + 1] = ends["SE"]
+                theta[below] = first + top
+                theta[first + top] = below
+            # down the syllable, each crossing's bottom end meets the next one's top end
+            theta[first + bottom : last + bottom : 4] = range(first + 4 + top, last + 4 + top, 4)
+            theta[first + 4 + top : last + 4 + top : 4] = range(first + bottom, last + bottom, 4)
+            dangling[pos] = last + bottom
+        first = last + 4
 
-    closure_darts: dict[int, tuple[Dart, Dart]] = {}
-    for p in range(1, word.strands + 1):
-        bottom = dangling[p]
-        assert bottom is not None
-        join(bottom, top_attach[p])
-        closure_darts[p] = (bottom, top_attach[p])
+    for bottom, top in zip(dangling[1:], top_attach[1:]):
+        theta[bottom] = top
+        theta[top] = bottom
 
-    d = LinkDiagram(word, crossings, theta, closure_darts=closure_darts)
+    d = LinkDiagram(word, crossings, theta, closure_darts=(dangling[2], top_attach[2]))
     _trace_faces(d)
     d.outer_face = d.face_index[top_attach[1]]
     d.faces[d.outer_face].is_outer = True
@@ -208,22 +196,30 @@ def _trace_faces(d: LinkDiagram) -> None:
     ids ascend with each face's lowest dart.
     """
     theta = d.theta
-    assigned = [-1] * len(theta)
-    faces: list[Face] = []
-    for start in range(len(theta)):
-        if assigned[start] >= 0:
-            continue
-        fid = len(faces)
+    n = len(theta)
+    # the clockwise neighbour of every dart, then its composite with theta
+    cw = list(range(-1, n - 1))
+    cw[::4] = range(3, n, 4)
+    step = list(map(cw.__getitem__, theta))
+    assigned = [-1] * n
+    orbits: list[list[Dart]] = []
+    start = 0
+    while True:
+        try:
+            start = assigned.index(-1, start)
+        except ValueError:
+            break
+        fid = len(orbits)
         orbit = []
         at = start
         while assigned[at] < 0:
             assigned[at] = fid
             orbit.append(at)
-            at = rotate_cw(theta[at])
+            at = step[at]
         if at != start:
             raise ColoringContradiction("face tracing closed on a foreign dart")
-        faces.append(Face(fid, tuple(orbit)))
-    d.faces = faces
+        orbits.append(orbit)
+    d.faces = faces = list(map(Face, range(len(orbits)), map(tuple, orbits)))
     d.face_index = assigned
     if len(faces) != d.crossing_count + 2:
         raise ColoringContradiction(
@@ -237,38 +233,42 @@ def checkerboard(d: LinkDiagram) -> LinkDiagram:
     Consecutive corners around a crossing lie in adjacent faces, so the
     constraint graph is just corner alternation; a contradiction there
     can only mean the face tracing is broken.
+
+    A crossing's checkerboard sign is read from corner 0 alone: +1 when
+    it is shaded.  That is enough because the search below compares
+    every corner of every face with the corner clockwise before it, and
+    ``_trace_faces`` files each corner under the face whose walk holds
+    it.  So once the search passes, the shades alternate around every
+    crossing, and the shaded pair is {0, 2} exactly when corner 0 is
+    shaded, {1, 3} otherwise.
     """
+    faces = d.faces
     if not d.crossings:
-        for f in d.faces:
+        for f in faces:
             f.shaded = not f.is_outer
         return d
-    shade: dict[int, bool] = {d.outer_face: False}
-    queue = deque([d.outer_face])
-    while queue:
-        fid = queue.popleft()
-        for corner in d.faces[fid].corners:
-            neighbour = d.face_index[rotate_cw(corner)]
-            if neighbour not in shade:
-                shade[neighbour] = not shade[fid]
+    face_index = d.face_index
+    shade: list[bool | None] = [None] * len(faces)
+    shade[d.outer_face] = False
+    queue = [d.outer_face]
+    for fid in queue:  # breadth first: the queue grows as it is read
+        mine = shade[fid]
+        for corner in faces[fid].corners:
+            neighbour = face_index[corner - 1 if corner & 3 else corner + 3]
+            theirs = shade[neighbour]
+            if theirs is None:
+                shade[neighbour] = not mine
                 queue.append(neighbour)
-            elif shade[neighbour] == shade[fid]:
+            elif theirs == mine:
                 raise ColoringContradiction(
                     f"faces {fid} and {neighbour} collide at corner {_pair(corner)}"
                 )
-    if len(shade) != len(d.faces):
+    if len(queue) != len(faces):
         raise ColoringContradiction("shading did not reach every face")
-    for f in d.faces:
-        f.shaded = shade[f.id]
-    for c in d.crossings:
-        shaded_corners = {s for s in range(4) if d.face_of(dart(c.id, s)).shaded}
-        if shaded_corners == {0, 2}:
-            c.checkerboard_sign = 1
-        elif shaded_corners == {1, 3}:
-            c.checkerboard_sign = -1
-        else:
-            raise ColoringContradiction(
-                f"crossing {c.id} has shaded corners {sorted(shaded_corners)}"
-            )
+    for f, shaded in zip(faces, shade):
+        f.shaded = shaded
+    for c, fid in zip(d.crossings, face_index[::4]):
+        c.checkerboard_sign = 1 if shade[fid] else -1
     return d
 
 

@@ -67,8 +67,9 @@ __all__ = [
 
 # The CLI refuses longer words for every braid command, since no method
 # reaches further.  In process on a 2-core Xeon VM with Python 3.11,
-# jones_via_det takes at most 0.09 s on each of s1 s2^999 and the wide
-# words s1^50 ... s20^50, s1^25 ... s40^25 and s1^10 ... s100^10.
+# jones_via_det takes at most 0.065 s on each of s1 s2^999 and the wide
+# words s1^50 ... s20^50, s1^25 ... s40^25 and s1^10 ... s100^10 (medians
+# of 7 runs: 30, 44, 46 and 52 ms).
 MAX_DET_CROSSINGS = 1000
 
 
@@ -164,18 +165,23 @@ def embedding_faces(g: OverlayGraph) -> list[tuple[int, ...]]:
     rotation at the far endpoint.  Walk length equals face boundary
     length.
     """
+    # leave the far vertex along the next edge, toward its other endpoint
     succ = [0] * (2 * len(g.edges))
-    for side, rotations in ((0, g.crossing_rotation), (1, g.face_rotation)):
-        for rot in rotations.values():
-            # leave the far vertex along nxt, toward its other endpoint
-            for i, nxt in zip(rot, rot[1:] + rot[:1]):
-                succ[2 * i + side] = 2 * nxt + 1 - side
+    for rot in g.crossing_rotation.values():
+        i = rot[-1]
+        for nxt in rot:
+            succ[2 * i] = 2 * nxt + 1
+            i = nxt
+    for rot in g.face_rotation.values():
+        i = rot[-1]
+        for nxt in rot:
+            succ[2 * i + 1] = 2 * nxt
+            i = nxt
 
     seen = bytearray(len(succ))
     faces = []
-    for start in range(len(succ)):
-        if seen[start]:
-            continue
+    start = seen.find(0)
+    while start >= 0:
         walk = []
         dart = start
         while not seen[dart]:
@@ -183,6 +189,7 @@ def embedding_faces(g: OverlayGraph) -> list[tuple[int, ...]]:
             walk.append(dart >> 1)
             dart = succ[dart]
         faces.append(tuple(walk))
+        start = seen.find(0, start)
     return faces
 
 
@@ -198,9 +205,10 @@ def kasteleyn_sign(g: OverlayGraph) -> OverlayGraph:
         for edge_idx in walk:  # an edge walked twice cancels
             mask ^= 1 << edge_idx
         equations.append((mask, (len(walk) // 2 + 1) % 2))
-    solution = _solve_gf2(equations)
-    for i, e in enumerate(g.edges):
-        e.kasteleyn_sign = -1 if (solution >> i) & 1 else 1
+    # character i of the reversed binary solution is edge i's bit
+    bits = format(_solve_gf2(equations), f"0{len(g.edges)}b")[::-1]
+    for e, bit in zip(g.edges, bits):
+        e.kasteleyn_sign = -1 if bit == "1" else 1
     return g
 
 
@@ -215,18 +223,17 @@ def _solve_gf2(equations: list[tuple[int, int]]) -> int:
     for mask, rhs in equations:
         while mask:
             low = mask & -mask
-            if low not in pivots:
+            pivot = pivots.get(low)
+            if pivot is None:
                 pivots[low] = (mask, rhs)
                 break
-            pmask, prhs = pivots[low]
-            mask ^= pmask
-            rhs ^= prhs
+            mask ^= pivot[0]
+            rhs ^= pivot[1]
         else:
             if rhs:
                 raise NoKasteleynSolution("face parity system is inconsistent")
     solution = 0
-    for low in sorted(pivots, reverse=True):
-        mask, rhs = pivots[low]
+    for low, (mask, rhs) in sorted(pivots.items(), reverse=True):
         # bits above low are settled already; low itself is still clear
         if rhs ^ (mask & solution).bit_count() % 2:
             solution |= low
@@ -234,15 +241,16 @@ def _solve_gf2(equations: list[tuple[int, int]]) -> int:
 
 
 def adjacency_matrix(g: OverlayGraph) -> ModifiedAdjacencyMatrix:
-    """Crossing-by-face matrix of letters over all of ``g``."""
+    """Crossing-by-face matrix of letters over all of ``g``.
+
+    Edges run by crossing, then by face order, so each row fills in
+    column order.
+    """
     col_pos = {fid: j for j, fid in enumerate(g.faces)}
-    rows = []
-    for cid in g.crossings:
-        row = {}
-        for i in g.crossing_rotation[cid]:
-            e = g.edges[i]
-            row[col_pos[e.face_id]] = (e.kasteleyn_sign, e.letter)
-        rows.append(dict(sorted(row.items())))
+    row_pos = {cid: i for i, cid in enumerate(g.crossings)}
+    rows: list[dict[int, tuple[int, str]]] = [{} for _ in g.crossings]
+    for e in g.edges:
+        rows[row_pos[e.crossing_id]][col_pos[e.face_id]] = (e.kasteleyn_sign, e.letter)
     return ModifiedAdjacencyMatrix(g.crossings, g.faces, tuple(rows))
 
 
@@ -301,7 +309,11 @@ def bareiss_determinant(
     in_col: dict[int, set[int]] = {}
     for i, row in live.items():
         for j in row:
-            in_col.setdefault(j, set()).add(i)
+            col = in_col.get(j)
+            if col is None:
+                in_col[j] = {i}
+            else:
+                col.add(i)
     # (row, None) or (None, column), checked again when popped
     singles = [(i, None) for i, row in live.items() if len(row) == 1]
     singles += [(None, j) for j, col in in_col.items() if len(col) == 1]
@@ -309,7 +321,13 @@ def bareiss_determinant(
     def cost(i: int, j: int) -> int:
         return (len(live[i]) - 1) * (len(in_col[j]) - 1)
 
-    units = [(cost(i, j), i, j) for i, row in live.items() for j, x in row.items() if x.is_unit]
+    col_spare = {j: len(col) - 1 for j, col in in_col.items()}
+    units = [
+        ((len(row) - 1) * col_spare[j], i, j)  # cost(i, j)
+        for i, row in live.items()
+        for j, x in row.items()
+        if x.is_unit
+    ]
     heapify(units)
     factors: list[LaurentPoly1] = []
     row_order: list[int] = []
@@ -453,7 +471,8 @@ def _bareiss_rest(
 
 def determinant(m: ModifiedAdjacencyMatrix, ops: OpCounter | None = None) -> LaurentPoly1:
     """Determinant after evaluation: each cell becomes its signed bracket image."""
-    images = [{j: _SIGNED_IMAGE[cell] for j, cell in row.items()} for row in m.sparse]
+    image = _SIGNED_IMAGE.__getitem__
+    images = [dict(zip(row, map(image, row.values()))) for row in m.sparse]
     return bareiss_determinant(images, ops)
 
 
@@ -491,37 +510,39 @@ def symbolic_determinant(m: ModifiedAdjacencyMatrix) -> dict[tuple, int]:
 def _maximum_matching(m: ModifiedAdjacencyMatrix) -> dict[int, int] | None:
     """Row position -> column position, via augmenting paths.
 
-    A row takes a free column when it has one.  Otherwise a depth-first
-    search looks for an augmenting path, kept on explicit stacks because
-    a path can be as long as the matrix, past the recursion limit.
+    A row takes its first free column when it has one; each row's map
+    lists its columns in order.  Otherwise a depth-first search looks
+    for an augmenting path, kept on explicit stacks because a path can
+    be as long as the matrix, past the recursion limit.
     """
-    adjacency = [sorted(row) for row in m.sparse]
+    adjacency = m.sparse
     match_col: dict[int, int] = {}
     for root, row in enumerate(adjacency):
-        free = next((j for j in row if j not in match_col), None)
-        if free is not None:
-            match_col[free] = root
-            continue
-        # the columns taken along the path, and each path row's untried columns
-        cols, options = [], [iter(row)]
-        banned: set[int] = set()
-        while options:
-            j = next((j for j in options[-1] if j not in banned), None)
-            if j is None:
-                options.pop()
-                if cols:
-                    cols.pop()
-                continue
-            banned.add(j)
-            cols.append(j)
+        for j in row:
             if j not in match_col:
+                match_col[j] = root
                 break
-            options.append(iter(adjacency[match_col[j]]))
         else:
-            return None
-        i = root
-        for j in cols:  # each column on the path passes to the row before it
-            i, match_col[j] = match_col.get(j), i
+            # the columns taken along the path, and each path row's untried columns
+            cols, options = [], [iter(row)]
+            banned: set[int] = set()
+            while options:
+                j = next((j for j in options[-1] if j not in banned), None)
+                if j is None:
+                    options.pop()
+                    if cols:
+                        cols.pop()
+                    continue
+                banned.add(j)
+                cols.append(j)
+                if j not in match_col:
+                    break
+                options.append(iter(adjacency[match_col[j]]))
+            else:
+                return None
+            i = root
+            for j in cols:  # each column on the path passes to the row before it
+                i, match_col[j] = match_col.get(j), i
     return {i: j for j, i in match_col.items()}
 
 

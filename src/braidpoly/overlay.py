@@ -22,9 +22,11 @@ components, matchings, the signed matrix and its sign fix all read
 incidence from them, so nothing downstream scans the whole edge list
 per vertex.
 
-Letters, per face: a shaded face gives L to its lowest-numbered
-crossing and D to the rest; an unshaded face gives l and d.  Negative
-checkerboard crossings bar their letters.  Summing the specialized
+Edges run by crossing, then by face order, so a face's lowest edge
+position is its edge at its lowest-numbered crossing.  Letters, per
+face: a shaded face gives L to its lowest edge position and D to the
+rest; an unshaded face gives l and d.  Negative checkerboard crossings
+bar their letters.  Summing the specialized
 letter product over perfect matchings then reproduces the bracket of
 the diagram.
 """
@@ -34,7 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .activity import ActivityWord, signed_letter
-from .diagram import Dart, LinkDiagram, dart
+from .diagram import Dart, LinkDiagram
 from .errors import TooManyCrossings, UnbalancedGraph, UnsupportedWord
 from .kauffman import specialize_bracket
 from .laurent import LaurentPoly1
@@ -54,7 +56,7 @@ __all__ = [
 Matching = frozenset
 
 
-@dataclass
+@dataclass(slots=True)
 class OverlayEdge:
     crossing_id: int
     face_id: int
@@ -80,12 +82,13 @@ def build_overlay(d: LinkDiagram) -> OverlayGraph:
         raise UnsupportedWord(
             f"{d.word.to_text() or '<empty>'} is outside the supported braid family"
         )
-    bottom, top = d.closure_darts[2]
-    deleted = (d.face_index[bottom], d.face_index[top])
+    face_index = d.face_index
+    bottom, top = d.closure_darts
+    deleted = (face_index[bottom], face_index[top])
     if deleted[0] == deleted[1]:
         raise UnbalancedGraph("deletion picked one face twice")
 
-    crossings = tuple(c.id for c in d.crossings)
+    crossings = tuple([c.id for c in d.crossings])
     shaded_ids = [f.id for f in d.faces if f.shaded and f.id not in deleted]
     unshaded_ids = [f.id for f in d.faces if not f.shaded and f.id not in deleted]
     faces = tuple(shaded_ids + unshaded_ids)
@@ -94,31 +97,44 @@ def build_overlay(d: LinkDiagram) -> OverlayGraph:
             f"{len(faces)} face vertices against {len(crossings)} crossings"
         )
 
-    # edges run by crossing, then by face order; rotations by slot order
-    face_pos = {fid: j for j, fid in enumerate(faces)}
-    edges: list[OverlayEdge] = []
-    edge_at: dict[Dart, int] = {}  # corner -> edge position
-    crossing_rotation = {}
-    for k in crossings:
-        first: dict[int, Dart] = {}  # face -> corner, in slot order
-        for corner in [dart(k, s) for s in range(4)]:
-            fid = d.face_index[corner]
-            if fid in face_pos and fid not in first:
-                first[fid] = corner
-        for fid in sorted(first, key=face_pos.__getitem__):
-            edge_at[first[fid]] = len(edges)
-            edges.append(OverlayEdge(k, fid, first[fid]))
-        crossing_rotation[k] = tuple(edge_at[corner] for corner in first.values())
+    # each corner's face position, -1 in a deleted face
+    position = [-1] * len(d.faces)
+    for j, fid in enumerate(faces):
+        position[fid] = j
+    at = [position[fid] for fid in face_index]
+    # A corner is its edge's corner when its face survives and no earlier
+    # slot of its crossing lies in that face.  Shades alternate around a
+    # crossing, so adjacent corners never share a face: only slot 2 can
+    # repeat slot 0, and slot 3 slot 1.
+    corners = [c for c, j in enumerate(at) if j >= 0 and (not c & 2 or j != at[c - 2])]
+    # edges run by crossing, then by face order
+    width = len(faces)
+    order = sorted(corners, key=lambda c: (c >> 2) * width + at[c])
+    edge_at = [-1] * len(at)  # corner -> edge position
+    for i, c in enumerate(order):
+        edge_at[c] = i
+    edges = tuple(
+        map(OverlayEdge, [(c >> 2) + 1 for c in order], map(face_index.__getitem__, order), order)
+    )
+    # rotations: at a crossing in slot order, at a face along its boundary
+    # walk; -1 marks a corner that is no edge's
+    is_edge = (-1).__ne__
+    quads = zip(*[iter(edge_at)] * 4)
+    crossing_rotation = {
+        k: rot if -1 not in rot else tuple(filter(is_edge, rot))
+        for k, rot in zip(crossings, quads)
+    }
+    walks = (tuple(map(edge_at.__getitem__, d.faces[fid].corners)) for fid in faces)
     face_rotation = {
-        fid: tuple(edge_at[c] for c in d.faces[fid].corners if c in edge_at)
-        for fid in faces
+        fid: rot if -1 not in rot else tuple(filter(is_edge, rot))
+        for fid, rot in zip(faces, walks)
     }
 
     return OverlayGraph(
         crossings,
         faces,
         frozenset(shaded_ids),
-        tuple(edges),
+        edges,
         crossing_rotation,
         face_rotation,
         {c.id: c.checkerboard_sign for c in d.crossings},
@@ -126,13 +142,23 @@ def build_overlay(d: LinkDiagram) -> OverlayGraph:
     )
 
 
+# (lead, other) letters of a face, by its shading, each by crossing sign
+_LETTERS = {
+    shaded: tuple({sign: signed_letter(base, sign) for sign in (1, -1)} for base in bases)
+    for shaded, bases in ((True, "LD"), (False, "ld"))
+}
+
+
 def overlay_activity_letters(g: OverlayGraph) -> OverlayGraph:
+    edges, signs = g.edges, g.crossing_signs
     for fid in g.faces:
-        incident = sorted(g.face_rotation[fid], key=lambda i: g.edges[i].crossing_id)
-        lead, others = ("L", "D") if fid in g.shaded else ("l", "d")
-        for rank, i in enumerate(incident):
-            base = lead if rank == 0 else others
-            g.edges[i].letter = signed_letter(base, g.crossing_signs[g.edges[i].crossing_id])
+        rotation = g.face_rotation[fid]
+        lead, other = _LETTERS[fid in g.shaded]
+        for i in rotation:
+            e = edges[i]
+            e.letter = other[signs[e.crossing_id]]
+        e = edges[min(rotation)]
+        e.letter = lead[signs[e.crossing_id]]
     return g
 
 

@@ -1,12 +1,13 @@
 import hashlib
 import json
+import random
 
 import pytest
 from hypothesis import given
 
 from braidpoly.braid import BraidWord, parse_braid
-from braidpoly.diagram import build_diagram, close_braid
-from braidpoly.errors import DisconnectedLink
+from braidpoly.diagram import _trace_faces, build_diagram, checkerboard, close_braid
+from braidpoly.errors import ColoringContradiction, DisconnectedLink
 from words import connected_words, corpus_words, family_words
 
 
@@ -126,11 +127,32 @@ def test_debug_json_is_pinned():
             "s2 s1^-1 s2^3 s1 s3^-2",
         )
     ]
+    assert debug_json_digest(words) == DEBUG_JSON_SHA256
+    assert debug_json_digest(mixed_sign_words()) == MIXED_DEBUG_JSON_SHA256
+
+
+def debug_json_digest(words) -> str:
     digest = hashlib.sha256()
     for word in words:
         digest.update(json.dumps(build_diagram(word).to_debug_json()).encode())
         digest.update(b"\n")
-    assert digest.hexdigest() == DEBUG_JSON_SHA256
+    return digest.hexdigest()
+
+
+MIXED_DEBUG_JSON_SHA256 = "37df576d721101150870626d4fbf9dfb558bc2c0740af39a7594c447e3da9bf5"
+
+
+def mixed_sign_words():
+    """25 seeded connected words: mixed signs, generators repeated out of order."""
+    rng = random.Random(11)
+    words = []
+    for _ in range(25):
+        strands = rng.randint(2, 6)
+        gens = list(range(1, strands)) + [rng.randint(1, strands - 1) for _ in range(rng.randint(1, 6))]
+        rng.shuffle(gens)
+        syllables = tuple((g, rng.choice((1, -1)) * rng.randint(1, 5)) for g in gens)
+        words.append(BraidWord(strands, syllables))
+    return words
 
 
 @given(connected_words())
@@ -176,3 +198,29 @@ def test_mirror_flips_checkerboard_signs(word):
     assert [c.oriented_sign for c in dm.crossings] == [
         -c.oriented_sign for c in d.crossings
     ]
+
+
+def test_corrupt_theta_fails_face_tracing():
+    # two darts sent to one partner: a walk runs into a dart traced by
+    # another orbit
+    d = close_braid(parse_braid("s1^3"))
+    d.theta[dart(1, 0)] = d.theta[dart(1, 1)]
+    with pytest.raises(ColoringContradiction, match="foreign dart"):
+        _trace_faces(d)
+    # a re-paired involution walks a surface of higher genus: too few faces
+    d = close_braid(parse_braid("s1^3 s2^2"))
+    a, b = dart(1, 0), dart(2, 2)
+    pa, pb = d.theta[a], d.theta[b]
+    d.theta[a], d.theta[pb] = pb, a
+    d.theta[b], d.theta[pa] = pa, b
+    with pytest.raises(ColoringContradiction, match="Euler"):
+        _trace_faces(d)
+
+
+def test_corrupt_face_index_fails_checkerboard():
+    # a corner filed under the face of the next corner counterclockwise,
+    # so the two read as one face across a strand
+    d = close_braid(parse_braid("s1^3"))
+    d.face_index[dart(2, 1)] = d.face_index[dart(2, 2)]
+    with pytest.raises(ColoringContradiction):
+        checkerboard(d)

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from braidpoly.activity import ActivityWord
 from braidpoly.braid import BraidWord, parse_braid
 from braidpoly.diagram import build_diagram
-from braidpoly.dimer import prepare_overlay
+from braidpoly.dimer import adjacency_matrix, fix_sign, prepare_overlay
 from braidpoly.errors import TooManyCrossings, UnsupportedWord
 from braidpoly.laurent import LaurentPoly1
 from braidpoly.oracle import bracket_state_sum
@@ -253,3 +253,30 @@ def test_signed_overlays_are_pinned():
         digest.update(repr((g.crossing_rotation, g.face_rotation)).encode())
         digest.update(overlay_to_dot(g).encode())
     assert digest.hexdigest() == SIGNED_OVERLAYS_SHA256
+    # and at the benchmark's sizes, with the letter matrix and its sign fix
+    digest = hashlib.sha256()
+    for word in pinned_large_words():
+        g = prepare_overlay(word)
+        m = adjacency_matrix(g)
+        digest.update(repr((g.crossing_rotation, g.face_rotation)).encode())
+        digest.update(overlay_to_dot(g).encode())
+        digest.update(f"{m.to_text(symbolic=True)}\n{fix_sign(m)}\n".encode())
+    assert digest.hexdigest() == LARGE_SIGNED_OVERLAYS_SHA256
+
+
+LARGE_SIGNED_OVERLAYS_SHA256 = "4b700daa338acdfdea7fdd4b77a3b4da955926a5c667774137caedb970e8badf"
+
+
+def pinned_large_words():
+    """s1^10 ... s10^10 and s1^40 s2^40, then 24 seeded family words of
+    40-100 crossings on 5-10 generators, all in both signs."""
+    rng = random.Random(12)
+    shapes = [(10,) * 10, (40, 40)]
+    for _ in range(24):
+        gens = rng.randint(5, 10)
+        shapes.append(tuple(rng.randint(40 // gens, 100 // gens) for _ in range(gens)))
+    return [
+        BraidWord(len(shape) + 1, tuple((i + 1, sign * m) for i, m in enumerate(shape)))
+        for shape in shapes
+        for sign in (1, -1)
+    ]
