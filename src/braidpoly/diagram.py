@@ -33,7 +33,6 @@ a positive torus braid closure comes out +1 under this rule.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import count
 
 from .braid import BraidWord
 from .errors import ColoringContradiction, DisconnectedLink
@@ -155,7 +154,10 @@ def close_braid(word: BraidWord) -> LinkDiagram:
             f"closure of {word.to_text()!r} on {word.strands} strands splits"
         )
 
-    crossings = tuple(map(Crossing, count(1), *zip(*word.crossings())))
+    crossings = tuple(
+        Crossing(cid, gen, sign)
+        for cid, (gen, sign) in enumerate(word.crossings(), start=1)
+    )
     theta = [0] * (4 * len(crossings))
     # per strand position: the end its strand hangs from (None above its
     # first crossing), and the end it entered the braid at
@@ -200,16 +202,13 @@ def _trace_faces(d: LinkDiagram) -> None:
     # the clockwise neighbour of every dart, then its composite with theta
     cw = list(range(-1, n - 1))
     cw[::4] = range(3, n, 4)
-    step = list(map(cw.__getitem__, theta))
+    step = [cw[t] for t in theta]
     assigned = [-1] * n
-    orbits: list[list[Dart]] = []
-    start = 0
-    while True:
-        try:
-            start = assigned.index(-1, start)
-        except ValueError:
-            break
-        fid = len(orbits)
+    faces: list[Face] = []
+    for start in range(n):
+        if assigned[start] >= 0:
+            continue
+        fid = len(faces)
         orbit = []
         at = start
         while assigned[at] < 0:
@@ -218,8 +217,8 @@ def _trace_faces(d: LinkDiagram) -> None:
             at = step[at]
         if at != start:
             raise ColoringContradiction("face tracing closed on a foreign dart")
-        orbits.append(orbit)
-    d.faces = faces = list(map(Face, range(len(orbits)), map(tuple, orbits)))
+        faces.append(Face(fid, tuple(orbit)))
+    d.faces = faces
     d.face_index = assigned
     if len(faces) != d.crossing_count + 2:
         raise ColoringContradiction(

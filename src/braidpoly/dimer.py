@@ -67,9 +67,9 @@ __all__ = [
 
 # The CLI refuses longer words for every braid command, since no method
 # reaches further.  In process on a 2-core Xeon VM with Python 3.11,
-# jones_via_det takes at most 0.065 s on each of s1 s2^999 and the wide
+# jones_via_det takes at most 0.07 s on each of s1 s2^999 and the wide
 # words s1^50 ... s20^50, s1^25 ... s40^25 and s1^10 ... s100^10 (medians
-# of 7 runs: 30, 44, 46 and 52 ms).
+# of 9 runs: 35, 44, 45 and 52 ms).
 MAX_DET_CROSSINGS = 1000
 
 
@@ -180,8 +180,9 @@ def embedding_faces(g: OverlayGraph) -> list[tuple[int, ...]]:
 
     seen = bytearray(len(succ))
     faces = []
-    start = seen.find(0)
-    while start >= 0:
+    for start in range(len(succ)):
+        if seen[start]:
+            continue
         walk = []
         dart = start
         while not seen[dart]:
@@ -189,7 +190,6 @@ def embedding_faces(g: OverlayGraph) -> list[tuple[int, ...]]:
             walk.append(dart >> 1)
             dart = succ[dart]
         faces.append(tuple(walk))
-        start = seen.find(0, start)
     return faces
 
 
@@ -223,17 +223,18 @@ def _solve_gf2(equations: list[tuple[int, int]]) -> int:
     for mask, rhs in equations:
         while mask:
             low = mask & -mask
-            pivot = pivots.get(low)
-            if pivot is None:
+            if low not in pivots:
                 pivots[low] = (mask, rhs)
                 break
-            mask ^= pivot[0]
-            rhs ^= pivot[1]
+            pmask, prhs = pivots[low]
+            mask ^= pmask
+            rhs ^= prhs
         else:
             if rhs:
                 raise NoKasteleynSolution("face parity system is inconsistent")
     solution = 0
-    for low, (mask, rhs) in sorted(pivots.items(), reverse=True):
+    for low in sorted(pivots, reverse=True):
+        mask, rhs = pivots[low]
         # bits above low are settled already; low itself is still clear
         if rhs ^ (mask & solution).bit_count() % 2:
             solution |= low
@@ -309,11 +310,7 @@ def bareiss_determinant(
     in_col: dict[int, set[int]] = {}
     for i, row in live.items():
         for j in row:
-            col = in_col.get(j)
-            if col is None:
-                in_col[j] = {i}
-            else:
-                col.add(i)
+            in_col.setdefault(j, set()).add(i)
     # (row, None) or (None, column), checked again when popped
     singles = [(i, None) for i, row in live.items() if len(row) == 1]
     singles += [(None, j) for j, col in in_col.items() if len(col) == 1]
@@ -321,13 +318,7 @@ def bareiss_determinant(
     def cost(i: int, j: int) -> int:
         return (len(live[i]) - 1) * (len(in_col[j]) - 1)
 
-    col_spare = {j: len(col) - 1 for j, col in in_col.items()}
-    units = [
-        ((len(row) - 1) * col_spare[j], i, j)  # cost(i, j)
-        for i, row in live.items()
-        for j, x in row.items()
-        if x.is_unit
-    ]
+    units = [(cost(i, j), i, j) for i, row in live.items() for j, x in row.items() if x.is_unit]
     heapify(units)
     factors: list[LaurentPoly1] = []
     row_order: list[int] = []
@@ -471,8 +462,7 @@ def _bareiss_rest(
 
 def determinant(m: ModifiedAdjacencyMatrix, ops: OpCounter | None = None) -> LaurentPoly1:
     """Determinant after evaluation: each cell becomes its signed bracket image."""
-    image = _SIGNED_IMAGE.__getitem__
-    images = [dict(zip(row, map(image, row.values()))) for row in m.sparse]
+    images = [{j: _SIGNED_IMAGE[cell] for j, cell in row.items()} for row in m.sparse]
     return bareiss_determinant(images, ops)
 
 

@@ -88,7 +88,7 @@ def build_overlay(d: LinkDiagram) -> OverlayGraph:
     if deleted[0] == deleted[1]:
         raise UnbalancedGraph("deletion picked one face twice")
 
-    crossings = tuple([c.id for c in d.crossings])
+    crossings = tuple(c.id for c in d.crossings)
     shaded_ids = [f.id for f in d.faces if f.shaded and f.id not in deleted]
     unshaded_ids = [f.id for f in d.faces if not f.shaded and f.id not in deleted]
     faces = tuple(shaded_ids + unshaded_ids)
@@ -113,21 +113,15 @@ def build_overlay(d: LinkDiagram) -> OverlayGraph:
     edge_at = [-1] * len(at)  # corner -> edge position
     for i, c in enumerate(order):
         edge_at[c] = i
-    edges = tuple(
-        map(OverlayEdge, [(c >> 2) + 1 for c in order], map(face_index.__getitem__, order), order)
-    )
+    edges = tuple([OverlayEdge((c >> 2) + 1, face_index[c], c) for c in order])
     # rotations: at a crossing in slot order, at a face along its boundary
     # walk; -1 marks a corner that is no edge's
-    is_edge = (-1).__ne__
-    quads = zip(*[iter(edge_at)] * 4)
     crossing_rotation = {
-        k: rot if -1 not in rot else tuple(filter(is_edge, rot))
-        for k, rot in zip(crossings, quads)
+        k: tuple([i for i in edge_at[4 * k - 4 : 4 * k] if i >= 0]) for k in crossings
     }
-    walks = (tuple(map(edge_at.__getitem__, d.faces[fid].corners)) for fid in faces)
     face_rotation = {
-        fid: rot if -1 not in rot else tuple(filter(is_edge, rot))
-        for fid, rot in zip(faces, walks)
+        fid: tuple([edge_at[c] for c in d.faces[fid].corners if edge_at[c] >= 0])
+        for fid in faces
     }
 
     return OverlayGraph(

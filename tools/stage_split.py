@@ -1,19 +1,19 @@
 """Split the det path's in-process time by stage, over det-large words.
 
     python3 tools/stage_split.py
-    python3 tools/stage_split.py --parent HEAD~1 --rounds 6
+    python3 tools/stage_split.py --parent HEAD~1
     python3 tools/stage_split.py --words 5 --rounds 1
 
 The words are the first ``--words`` requests (200 by default) of the
-det-large stream for ``--seed`` (3 by default), read from
-perfbench/workloads.py, which is only imported.  Each stage of
-``jones_via_det`` is called on its own, in the order the det path calls
-it, and timed with ``perf_counter``: parse, close, checkerboard,
-overlay, letters, signs, matrix, determinant, fix_sign and writhe.  One
-untimed pass first checks every word's assembled answer against
-``jones_via_det``.  A round times every word once; each stage's figure
-is its median over the rounds.  "front" sums close through fix_sign,
-the determinant left out.
+det-large stream for seed 3, read from perfbench/workloads.py, which is
+only imported.  Each stage of ``jones_via_det`` is called on its own,
+in the order the det path calls it, and timed with ``perf_counter``:
+parse, close, checkerboard, overlay, letters, signs, matrix,
+determinant, fix_sign and writhe.  One untimed pass first checks every
+word's assembled answer against ``jones_via_det``.  A round times every
+word once; each stage's figure is its median over ``--rounds`` rounds
+(10 by default).  "front" sums close through fix_sign, the determinant
+left out.
 
 Without ``--parent`` every round runs in this process, on this
 checkout's ``src/``.  With it, each round runs in a fresh interpreter,
@@ -39,6 +39,7 @@ STAGES = (
     "parse", "close", "checkerboard", "overlay", "letters",
     "signs", "matrix", "determinant", "fix_sign", "writhe",
 )
+SEED = 3
 FRONT = ("close", "checkerboard", "overlay", "letters", "signs", "matrix", "fix_sign")
 
 
@@ -49,9 +50,9 @@ def _load(name: str, path: Path):
     return module
 
 
-def det_words(count: int, seed: int) -> list[str]:
+def det_words(count: int) -> list[str]:
     workloads = _load("workloads", ROOT / "perfbench" / "workloads.py")
-    return [r["braid"] for r in workloads.first("det-large", seed, count)]
+    return [r["braid"] for r in workloads.first("det-large", SEED, count)]
 
 
 def time_rounds(src: Path, texts: list[str], rounds: int) -> list[dict[str, float]]:
@@ -133,7 +134,7 @@ def table(sides: dict[str, dict[str, float]]) -> str:
 def child(src: Path, args) -> list[dict[str, float]]:
     cmd = [
         sys.executable, str(Path(__file__).resolve()), "--src", str(src),
-        "--words", str(args.words), "--seed", str(args.seed), "--rounds", "1", "--json",
+        "--words", str(args.words), "--rounds", "1", "--json",
     ]
     proc = subprocess.run(cmd, capture_output=True, text=True)
     if proc.returncode != 0:
@@ -144,15 +145,14 @@ def child(src: Path, args) -> list[dict[str, float]]:
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--words", type=int, default=200)
-    parser.add_argument("--seed", type=int, default=3)
-    parser.add_argument("--rounds", type=int, default=5)
+    parser.add_argument("--rounds", type=int, default=10)
     parser.add_argument("--parent", help="revision to time against, in alternating rounds")
     parser.add_argument("--src", type=Path, default=ROOT / "src", help=argparse.SUPPRESS)
     parser.add_argument("--json", action="store_true", help="print each round's raw seconds")
     args = parser.parse_args()
 
     if args.parent is None:
-        rounds = time_rounds(args.src, det_words(args.words, args.seed), args.rounds)
+        rounds = time_rounds(args.src, det_words(args.words), args.rounds)
         print(json.dumps(rounds) if args.json else table({"this": medians(rounds)}))
         return 0
     bench_pairs = _load("bench_pairs", ROOT / "tools" / "bench_pairs.py")
