@@ -16,19 +16,12 @@ from __future__ import annotations
 from collections import Counter
 from typing import Iterable, Mapping
 
-__all__ = ["LETTERS", "BASE_LETTERS", "bar", "is_barred", "signed_letter", "ActivityWord"]
+__all__ = ["LETTERS", "BASE_LETTERS", "is_barred", "signed_letter", "ActivityWord"]
 
 BASE_LETTERS = ("L", "l", "D", "d")
 LETTERS = BASE_LETTERS + tuple(x + "~" for x in BASE_LETTERS)
 
 _ORDER = {letter: i for i, letter in enumerate(LETTERS)}
-
-
-def bar(letter: str) -> str:
-    """Toggle the negative-crossing mark on a base letter."""
-    if letter not in BASE_LETTERS:
-        raise ValueError(f"not a base letter: {letter!r}")
-    return letter + "~"
 
 
 def is_barred(letter: str) -> bool:
@@ -56,10 +49,6 @@ class ActivityWord:
             if letter not in _ORDER:
                 raise ValueError(f"unknown activity letter: {letter!r}")
         self._counts = +counts
-
-    @property
-    def counts(self) -> dict[str, int]:
-        return dict(self._counts)
 
     def __len__(self) -> int:
         return sum(self._counts.values())

@@ -33,7 +33,7 @@ from .errors import (
     ZeroExponent,
 )
 from .kauffman import F2q, K2Q_METHODS, K2q
-from .oracle import bracket_state_sum, writhe_correction
+from .oracle import DEFAULT_CROSSING_CAP, bracket_state_sum, writhe_correction
 from .overlay import overlay_to_dot, partition_function, perfect_matchings
 from .tait import build_tait, dual_tait, spanning_trees, tait_to_dot, thistlethwaite_sum
 
@@ -67,15 +67,14 @@ def build_parser() -> argparse.ArgumentParser:
     cap_args.add_argument(
         "--max-crossings",
         type=int,
-        default=24,
-        help="cap for the enumeration methods (default 24)",
+        default=DEFAULT_CROSSING_CAP,
+        help="cap for the enumeration methods (default %(default)s)",
     )
 
     for name in ("jones", "bracket"):
         cmd = sub.add_parser(name, parents=[braid_args, cap_args])
         cmd.add_argument("--method", choices=JONES_METHODS, default="det")
         cmd.add_argument("--format", choices=("text", "json"), default="text")
-        cmd.add_argument("--parallel", action="store_true")
 
     kauffman = sub.add_parser("kauffman")
     kauffman.add_argument("--q", type=int, required=True)
@@ -104,7 +103,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="sweep the bounded family instead of a single word",
     )
-    verify.add_argument("--parallel", action="store_true")
 
     return parser
 
@@ -122,13 +120,13 @@ def _load_word(args) -> BraidWord:
     return word
 
 
-def _bracket(word: BraidWord, method: str, cap: int, parallel: bool):
+def _bracket(word: BraidWord, method: str, cap: int):
     if method == "det":
         return bracket_via_det(word)
     if word.crossing_count > cap:
         raise TooManyCrossings(f"{word.crossing_count} crossings exceeds the {method} cap {cap}")
     if method == "statesum":
-        return bracket_state_sum(build_diagram(word), max_crossings=cap, parallel=parallel)
+        return bracket_state_sum(build_diagram(word), max_crossings=cap)
     if method == "matchings":
         return partition_function(prepare_overlay(word), max_crossings=cap)
     return thistlethwaite_sum(build_tait(build_diagram(word)), max_edges=cap)
@@ -144,7 +142,7 @@ def _emit_poly(poly, fmt: str) -> int:
 
 def _cmd_polynomial(args) -> int:
     word = _load_word(args)
-    value = _bracket(word, args.method, args.max_crossings, args.parallel)
+    value = _bracket(word, args.method, args.max_crossings)
     if args.command == "jones":
         value = writhe_correction(word.writhe) * value
     return _emit_poly(value, args.format)
@@ -189,9 +187,7 @@ def _cmd_graph(args) -> int:
             print(overlay_to_dot(g))
         return 0
     diagram = build_diagram(word)
-    g = build_tait(diagram)
-    if args.kind == "dual":
-        g = dual_tait(g, diagram)
+    g = dual_tait(diagram) if args.kind == "dual" else build_tait(diagram)
     if args.format == "json":
         payload = {
             "vertices": list(g.vertices),
@@ -210,9 +206,9 @@ def _cmd_graph(args) -> int:
     return 0
 
 
-def _verify_word(word: BraidWord, cap: int, parallel: bool, label: str | None = None) -> bool:
+def _verify_word(word: BraidWord, cap: int, label: str | None = None) -> bool:
     correction = writhe_correction(word.writhe)
-    values = {m: correction * _bracket(word, m, cap, parallel) for m in JONES_METHODS}
+    values = {m: correction * _bracket(word, m, cap) for m in JONES_METHODS}
     reference = values["det"]
     ok = all(v == reference for v in values.values())
     if label is None:
@@ -245,7 +241,7 @@ def _cmd_verify(args) -> int:
         words = _family_corpus()
         failures = 0
         for word in words:
-            if not _verify_word(word, args.max_crossings, args.parallel, label=str(word)):
+            if not _verify_word(word, args.max_crossings, label=str(word)):
                 failures += 1
         if failures:
             print(f"FAIL ({failures} of {len(words)} words)")
@@ -256,7 +252,7 @@ def _cmd_verify(args) -> int:
         print("braidpoly verify: error: provide --braid or --corpus", file=sys.stderr)
         return 1
     word = _load_word(args)
-    return 0 if _verify_word(word, args.max_crossings, args.parallel) else 4
+    return 0 if _verify_word(word, args.max_crossings) else 4
 
 
 _COMMANDS = {

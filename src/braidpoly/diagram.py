@@ -99,9 +99,6 @@ class LinkDiagram:
         """Each arc once, as its two darts in increasing order."""
         return [(d1, d2) for d1, d2 in enumerate(self.theta) if d1 < d2]
 
-    def face_of(self, corner: Dart) -> Face:
-        return self.faces[self.face_index[corner]]
-
     def shaded_faces(self) -> list[Face]:
         return [f for f in self.faces if f.shaded]
 

@@ -40,6 +40,7 @@ from .diagram import Dart, LinkDiagram
 from .errors import TooManyCrossings, UnbalancedGraph, UnsupportedWord
 from .kauffman import specialize_bracket
 from .laurent import LaurentPoly1
+from .oracle import DEFAULT_CROSSING_CAP
 
 __all__ = [
     "OverlayEdge",
@@ -74,7 +75,6 @@ class OverlayGraph:
     crossing_rotation: dict[int, tuple[int, ...]]
     face_rotation: dict[int, tuple[int, ...]]
     crossing_signs: dict[int, int]
-    deleted: tuple[int, int]
 
 
 def build_overlay(d: LinkDiagram) -> OverlayGraph:
@@ -132,7 +132,6 @@ def build_overlay(d: LinkDiagram) -> OverlayGraph:
         crossing_rotation,
         face_rotation,
         {c.id: c.checkerboard_sign for c in d.crossings},
-        deleted,
     )
 
 
@@ -156,7 +155,7 @@ def overlay_activity_letters(g: OverlayGraph) -> OverlayGraph:
     return g
 
 
-def perfect_matchings(g: OverlayGraph, max_crossings: int = 24):
+def perfect_matchings(g: OverlayGraph, max_crossings: int = DEFAULT_CROSSING_CAP):
     """All perfect matchings, as frozensets of edge positions.
 
     Backtracks on the unmatched crossing with the fewest free faces,
@@ -201,7 +200,7 @@ def matching_word(g: OverlayGraph, matching: Matching) -> ActivityWord:
     return ActivityWord(letters)
 
 
-def partition_function(g: OverlayGraph, max_crossings: int = 24) -> LaurentPoly1:
+def partition_function(g: OverlayGraph, max_crossings: int = DEFAULT_CROSSING_CAP) -> LaurentPoly1:
     """Dimer sum: specialized matching words over all perfect matchings."""
     total = LaurentPoly1.zero()
     for m in perfect_matchings(g, max_crossings):

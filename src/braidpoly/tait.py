@@ -26,6 +26,7 @@ from .diagram import LinkDiagram, dart
 from .errors import TooManyCrossings
 from .kauffman import specialize_bracket
 from .laurent import LaurentPoly1
+from .oracle import DEFAULT_CROSSING_CAP
 
 __all__ = [
     "TaitEdge",
@@ -74,7 +75,7 @@ def build_tait(d: LinkDiagram) -> TaitGraph:
     return TaitGraph(vertices, tuple(edges))
 
 
-def dual_tait(g: TaitGraph, d: LinkDiagram) -> TaitGraph:
+def dual_tait(d: LinkDiagram) -> TaitGraph:
     """The Tait graph of the opposite shading choice.
 
     Swapping shaded and unshaded exchanges the quadrant pairs at every
@@ -88,7 +89,7 @@ def dual_tait(g: TaitGraph, d: LinkDiagram) -> TaitGraph:
     return TaitGraph(vertices, tuple(edges))
 
 
-def spanning_trees(g: TaitGraph, max_edges: int = 24) -> Iterator[SpanningTree]:
+def spanning_trees(g: TaitGraph, max_edges: int = DEFAULT_CROSSING_CAP) -> Iterator[SpanningTree]:
     """All spanning trees, as frozensets of edge positions.
 
     Plain include/exclude recursion over the edge list with a
@@ -166,10 +167,10 @@ def _cut_side(adj, tree: SpanningTree, removed: int, start: int) -> set[int]:
     return side
 
 
-def positional_letters(g: TaitGraph, tree: SpanningTree) -> dict[int, str]:
-    """Activity letter of each edge position under the given tree."""
+def tree_activity_word(g: TaitGraph, tree: SpanningTree) -> ActivityWord:
+    """Activity letters of all edges under the given tree."""
     adj = _tree_adjacency(g, tree)
-    out = {}
+    letters = []
     for pos, edge in enumerate(g.edges):
         u, v = edge.endpoints
         if pos in tree:
@@ -183,15 +184,11 @@ def positional_letters(g: TaitGraph, tree: SpanningTree) -> dict[int, str]:
         else:
             cycle = _tree_path(adj, u, v) | {pos}
             base = "l" if min(cycle) == pos else "d"
-        out[pos] = signed_letter(base, edge.sign)
-    return out
+        letters.append(signed_letter(base, edge.sign))
+    return ActivityWord(letters)
 
 
-def tree_activity_word(g: TaitGraph, tree: SpanningTree) -> ActivityWord:
-    return ActivityWord(positional_letters(g, tree).values())
-
-
-def thistlethwaite_sum(g: TaitGraph, max_edges: int = 24) -> LaurentPoly1:
+def thistlethwaite_sum(g: TaitGraph, max_edges: int = DEFAULT_CROSSING_CAP) -> LaurentPoly1:
     """Bracket of the underlying diagram as a sum over spanning trees."""
     total = LaurentPoly1.zero()
     for tree in spanning_trees(g, max_edges):
@@ -199,17 +196,14 @@ def thistlethwaite_sum(g: TaitGraph, max_edges: int = 24) -> LaurentPoly1:
     return total
 
 
-def tait_to_dot(g: TaitGraph, tree: SpanningTree | None = None) -> str:
-    """DOT text; with a tree given, edges carry their activity letter."""
+def tait_to_dot(g: TaitGraph) -> str:
+    """DOT text; each edge is labelled with its sign."""
     lines = ["graph tait {"]
     for v in g.vertices:
         lines.append(f"  f{v};")
-    letters = positional_letters(g, tree) if tree is not None else None
-    for pos, e in enumerate(g.edges):
+    for e in g.edges:
         u, v = e.endpoints
         label = "+" if e.sign > 0 else "-"
-        if letters is not None:
-            label = f"{letters[pos]} ({label})"
         lines.append(f'  f{u} -- f{v} [label="{label}"];')
     lines.append("}")
     return "\n".join(lines)

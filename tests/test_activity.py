@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from braidpoly.activity import LETTERS, ActivityWord, bar, is_barred, signed_letter
+from braidpoly.activity import LETTERS, ActivityWord, is_barred, signed_letter
 
 letters = st.sampled_from(LETTERS)
 
@@ -12,12 +12,9 @@ def test_alphabet():
 
 
 def test_bar_marks():
-    assert bar("L") == "L~"
     assert is_barred("d~") and not is_barred("d")
     assert signed_letter("D", 1) == "D"
     assert signed_letter("D", -1) == "D~"
-    with pytest.raises(ValueError):
-        bar("L~")
     with pytest.raises(ValueError):
         signed_letter("x", 1)
 

@@ -65,6 +65,15 @@ def test_usage_errors_exit_1(capsys):
     assert code == 1
 
 
+def test_parallel_flag_is_a_usage_error(capsys):
+    for command in ("jones", "bracket", "verify"):
+        code, out, err = invoke(capsys, command, "--braid", "s1^3", "--parallel")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("usage: braidpoly")
+        assert "unrecognized arguments: --parallel" in err
+
+
 def test_caps_exit_3(capsys):
     code, _, err = invoke(
         capsys, "jones", "--braid", "s1^30 s2^30", "--method", "statesum"
@@ -229,14 +238,6 @@ def test_debug_diagram_goes_to_stderr(capsys):
     assert code == 0
     assert out == TREFOIL + "\n"
     assert json.loads(err)["strands"] == 2
-
-
-def test_parallel_flag_matches_serial(capsys):
-    _, serial, _ = invoke(capsys, "jones", "--braid", "s1^4 s2^4 s3^4", "--method", "statesum")
-    _, parallel, _ = invoke(
-        capsys, "jones", "--braid", "s1^4 s2^4 s3^4", "--method", "statesum", "--parallel"
-    )
-    assert serial == parallel
 
 
 def test_console_script_entry_point():

@@ -59,7 +59,6 @@ _OPTIONS = {
         [
             _option("--method", st.sampled_from(JONES_METHODS + ("magic",))),
             _option("--format", _fmt),
-            _flag("--parallel"),
         ]
     ),
     "matrix": _braid_options([_flag("--symbolic"), _option("--format", _fmt)]),
@@ -69,7 +68,7 @@ _OPTIONS = {
             _option("--format", _fmt),
         ]
     ),
-    "verify": _braid_options([_flag("--parallel")]),
+    "verify": _braid_options([]),
     "kauffman": [
         _option("--q", st.integers(-2, 30).map(str)),
         _option("--method", st.sampled_from(K2Q_METHODS + ("magic",))),

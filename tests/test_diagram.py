@@ -181,7 +181,7 @@ def test_coloring_proper_and_quadrants_alternate(word):
     assert outer.is_outer and not outer.shaded
     assert sum(f.is_outer for f in d.faces) == 1
     for c in d.crossings:
-        shading = [d.face_of(dart(c.id, s)).shaded for s in range(4)]
+        shading = [d.faces[d.face_index[dart(c.id, s)]].shaded for s in range(4)]
         assert shading in ([True, False, True, False], [False, True, False, True])
         assert c.checkerboard_sign == (1 if shading[0] else -1)
 

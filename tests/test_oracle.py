@@ -83,12 +83,6 @@ def test_jones_state_sum_checks_the_cap_before_building(monkeypatch):
         jones_state_sum(parse_braid("s1^10"), max_crossings=9)
 
 
-def test_parallel_matches_serial():
-    d = build_diagram(parse_braid("s1^4 s2^4 s3^4"))
-    serial = bracket_state_sum(d)
-    assert bracket_state_sum(d, parallel=True) == serial
-
-
 @settings(max_examples=30, deadline=None)
 @given(connected_words())
 def test_mirror_property(word):

@@ -191,7 +191,6 @@ def test_isolated_vertex_has_no_matchings():
         crossing_rotation={1: (0,), 2: (1,)},
         face_rotation={10: (0, 1), 11: ()},
         crossing_signs={1: 1, 2: 1},
-        deleted=(0, 1),
     )
     assert list(perfect_matchings(g)) == []
     assert partition_function(g) == LaurentPoly1.zero()
