@@ -120,11 +120,15 @@ def _load_word(args) -> BraidWord:
     return word
 
 
+def _check_cap(word: BraidWord, method: str, cap: int) -> None:
+    if word.crossing_count > cap:
+        raise TooManyCrossings(f"{word.crossing_count} crossings exceeds the {method} cap {cap}")
+
+
 def _bracket(word: BraidWord, method: str, cap: int):
     if method == "det":
         return bracket_via_det(word)
-    if word.crossing_count > cap:
-        raise TooManyCrossings(f"{word.crossing_count} crossings exceeds the {method} cap {cap}")
+    _check_cap(word, method, cap)
     if method == "statesum":
         return bracket_state_sum(build_diagram(word), max_crossings=cap)
     if method == "matchings":
@@ -207,16 +211,27 @@ def _cmd_graph(args) -> int:
 
 
 def _verify_word(word: BraidWord, cap: int, label: str | None = None) -> bool:
+    """Every method on one word; the enumerations share one diagram and one overlay."""
+    det = bracket_via_det(word)
+    _check_cap(word, "matchings", cap)
+    overlay = prepare_overlay(word)
+    diagram = build_diagram(word)
+    tait = build_tait(diagram)
+    brackets = {
+        "det": det,
+        "matchings": partition_function(overlay, max_crossings=cap),
+        "trees": thistlethwaite_sum(tait, max_edges=cap),
+        "statesum": bracket_state_sum(diagram, max_crossings=cap),
+    }
     correction = writhe_correction(word.writhe)
-    values = {m: correction * _bracket(word, m, cap) for m in JONES_METHODS}
+    values = {m: correction * brackets[m] for m in JONES_METHODS}
     reference = values["det"]
     ok = all(v == reference for v in values.values())
     if label is None:
         for method in JONES_METHODS:
             print(f"jones[{method}] = {values[method].to_text()}")
-        g = prepare_overlay(word)
-        matchings = sum(1 for _ in perfect_matchings(g, max_crossings=cap))
-        trees = sum(1 for _ in spanning_trees(build_tait(build_diagram(word)), max_edges=cap))
+        matchings = sum(1 for _ in perfect_matchings(overlay, max_crossings=cap))
+        trees = sum(1 for _ in spanning_trees(tait, max_edges=cap))
         print(f"perfect matchings: {matchings}   spanning trees: {trees}")
         print("PASS" if ok else "FAIL")
     elif not ok:

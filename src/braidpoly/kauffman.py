@@ -62,7 +62,7 @@ KAUFFMAN_IMAGE: dict[str, LaurentPoly2] = {
 
 K2Q_METHODS = ("skein", "prop", "closed")
 
-# prop, the slowest method, takes 3.6 s at q = 120 and 10.6 s at q = 150 on a 2-core Xeon VM
+# prop, the slowest method, takes 1.2-1.6 s at q = 120 and 2.5-3.6 s at q = 150 on a 2-core Xeon VM
 MAX_Q = 120
 
 

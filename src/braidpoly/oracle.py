@@ -2,12 +2,14 @@
 
 Everything faster in this package is tested against the two functions
 here: the 2^c bracket state sum and a Laplace-expansion determinant.
-Both are deliberately plain; they exist to be obviously correct, not
-quick.  Caps keep them inside desk-scale runtimes, and the callers
-that need large inputs use the polynomial-time paths instead.  The
-state sum runs in one process: 18 crossings (``s1^9 s2^9``) take about
-3 s on a 2-core VM with Python 3.11, and every two more crossings take
-about four times as long.
+Both exist to be obviously correct, not quick.  Caps keep them inside
+desk-scale runtimes, and the callers that need large inputs use the
+polynomial-time paths instead.  The state sum runs in one process.  It
+visits the states in Gray-code order, so each state re-smooths one
+crossing, walks each loop once, and counts the states by (#A, loops);
+the polynomial is built from those counts at the end.  18 crossings
+(``s1^9 s2^9``) take 1.1-1.5 s on a 2-core VM with Python 3.11, and
+every two more crossings take about four times as long.
 
 Smoothing convention (calibrated so the positive-kink closure comes
 out -A^3): the A-smoothing of a crossing joins slot 1 to slot 2 and
@@ -24,17 +26,12 @@ from .errors import TooLarge, TooManyCrossings
 from .laurent import LaurentPoly1
 
 __all__ = [
-    "A_SMOOTHING_PAIRS",
-    "B_SMOOTHING_PAIRS",
     "DEFAULT_CROSSING_CAP",
     "bracket_state_sum",
     "jones_state_sum",
     "writhe_correction",
     "cofactor_det",
 ]
-
-A_SMOOTHING_PAIRS = ((1, 2), (3, 0))
-B_SMOOTHING_PAIRS = ((0, 1), (2, 3))
 
 DEFAULT_CROSSING_CAP = 24
 
@@ -52,45 +49,56 @@ def bracket_state_sum(d: LinkDiagram, max_crossings: int = DEFAULT_CROSSING_CAP)
     """Bracket of a diagram by brute force over all 2^c smoothings.
 
     Each state contributes A^(#A - #B) times (-A^2 - A^-2)^(loops - 1).
-    Loop counting walks the dart permutation smoothing . theta; every
-    loop is traversed once in each direction, hence the halving.
+    The states run in Gray-code order: state i differs from state i - 1
+    at the crossing of the lowest set bit of i, so only that crossing's
+    four ``smooth`` entries change.  The A-smoothing pairs each slot s
+    with s ^ 3 and the B-smoothing with s ^ 1, so a flip toggles bit 1
+    of all four.  Loops are the cycles of smooth . theta; the reverse
+    of a cycle is its image under theta, so a walk stamps both and
+    counts each loop once.  States are counted by (#A, loops), and the
+    polynomial is built from those counts at the end.
     """
     crossings = d.crossing_count
     _check_cap(crossings, max_crossings)
     theta = d.theta
-    free_loops = d.free_loops
     n_darts = 4 * crossings
-    smooth = [0] * n_darts
-    visited = [-1] * n_darts
-    delta_pows: list[dict[int, int]] = [{0: 1}]
-    terms: dict[int, int] = {}
+    smooth = [dart ^ 1 for dart in range(n_darts)]  # every crossing B-smoothed
+    visited = [0] * n_darts
+    # a loop holds at least one dart each way, so a state has at most 2c
+    width = 2 * crossings + 1
+    counts = [0] * ((crossings + 1) * width)
+    n_a = 0
     for state in range(1 << crossings):
-        bits = 0
-        for k in range(crossings):
-            pairs = A_SMOOTHING_PAIRS if (state >> k) & 1 else B_SMOOTHING_PAIRS
-            bits += (state >> k) & 1
-            base = 4 * k
-            for s1, s2 in pairs:
-                smooth[base + s1] = base + s2
-                smooth[base + s2] = base + s1
-        cycles = 0
+        if state:
+            base = 4 * ((state & -state).bit_length() - 1)
+            smooth[base] ^= 2
+            smooth[base + 1] ^= 2
+            smooth[base + 2] ^= 2
+            smooth[base + 3] ^= 2
+            n_a += 1 if smooth[base] == base + 3 else -1
+        stamp = state + 1
+        loops = 0
         for start in range(n_darts):
-            if visited[start] == state:
-                continue
-            cycles += 1
-            dart = start
-            while visited[dart] != state:
-                visited[dart] = state
-                dart = smooth[theta[dart]]
-        loops = cycles // 2 + free_loops
-        while loops - 1 >= len(delta_pows):
-            last = LaurentPoly1(delta_pows[-1]) * _LOOP_FACTOR
-            delta_pows.append(last.terms)
-        exp_a = 2 * bits - crossings
-        for e, c in delta_pows[loops - 1].items():
-            key = e + exp_a
-            terms[key] = terms.get(key, 0) + c
-    return LaurentPoly1(terms)
+            if visited[start] != stamp:
+                loops += 1
+                dart = start
+                while True:
+                    back = theta[dart]
+                    visited[dart] = visited[back] = stamp
+                    dart = smooth[back]
+                    if dart == start:
+                        break
+        counts[n_a * width + loops] += 1
+    free_loops = d.free_loops
+    total = LaurentPoly1.zero()
+    delta_pow = LaurentPoly1.one()  # (-A^2 - A^-2)^(loops - 1)
+    for loops in range(1, free_loops + width):
+        walked = loops - free_loops
+        if walked >= 0:
+            by_a = {2 * k - crossings: counts[k * width + walked] for k in range(crossings + 1)}
+            total = total + LaurentPoly1(by_a) * delta_pow
+        delta_pow = delta_pow * _LOOP_FACTOR
+    return total
 
 
 def writhe_correction(writhe: int) -> LaurentPoly1:

@@ -1,6 +1,8 @@
 """The pure helpers of tools/bench_pairs.py, which is a script, not a package."""
 
 import importlib.util
+import os
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -69,3 +71,43 @@ def test_all_correct_counts_the_traced_runs():
     runs["parent"] = PARENT[:-1] + [run(100, 0.5, correct=False)]
     traced["change"] = run(100, 0.5)
     assert not bench_pairs.workload_report(runs, traced, SPEC)["all_correct"]
+
+
+def test_both_sides_are_exported_from_a_throwaway_repository(tmp_path):
+    repo = tmp_path / "repo"
+    repo.mkdir()
+
+    def git(*args):
+        subprocess.run(
+            ["git", "-c", "user.name=bench", "-c", "user.email=bench@example.com", *args],
+            cwd=repo, check=True, capture_output=True,
+        )
+
+    git("init", "-q")
+    (repo / ".gitignore").write_text("*.log\nout/\n")
+    (repo / "kept.txt").write_text("committed\n")
+    (repo / "gone.txt").write_text("committed\n")
+    (repo / "tools").mkdir()
+    (repo / "tools" / "run.sh").write_text("#!/bin/sh\n")
+    (repo / "tools" / "run.sh").chmod(0o755)
+    git("add", "-A")
+    git("commit", "-q", "-m", "first")
+    (repo / "kept.txt").write_text("edited\n")
+    (repo / "gone.txt").unlink()
+    (repo / "new.txt").write_text("untracked\n")
+    (repo / "run.log").write_text("ignored\n")
+    (repo / "out").mkdir()
+    (repo / "out" / "result.json").write_text("ignored\n")
+
+    def files(root):
+        return sorted(p.relative_to(root).as_posix() for p in root.rglob("*") if p.is_file())
+
+    change, parent = tmp_path / "change", tmp_path / "parent"
+    bench_pairs.export_checkout(repo, change)
+    bench_pairs.export_commit(repo, "HEAD", parent)
+    assert files(change) == [".gitignore", "kept.txt", "new.txt", "tools/run.sh"]
+    assert (change / "kept.txt").read_text() == "edited\n"
+    assert os.access(change / "tools" / "run.sh", os.X_OK)
+    assert files(parent) == [".gitignore", "gone.txt", "kept.txt", "tools/run.sh"]
+    assert (parent / "kept.txt").read_text() == "committed\n"
+    assert os.access(parent / "tools" / "run.sh", os.X_OK)

@@ -194,6 +194,21 @@ def test_graph_builds_one_diagram_per_kind(capsys, monkeypatch):
         assert (code, len(calls)) == (0, 1), kind
 
 
+def test_verify_shares_one_diagram_and_one_overlay(capsys, monkeypatch):
+    calls = []
+
+    def counted(word):
+        calls.append(word)
+        return build_diagram(word)
+
+    monkeypatch.setattr(cli, "build_diagram", counted)
+    monkeypatch.setattr(dimer, "build_diagram", counted)
+    code, out, _ = invoke(capsys, "verify", "--braid", "s1^2 s2^3")
+    # the determinant, the overlay of both matchings counts, the diagram of the other three
+    assert (code, len(calls)) == (0, 3)
+    assert out.endswith("perfect matchings: 6   spanning trees: 6\nPASS\n")
+
+
 def test_graph_json(capsys):
     _, out, _ = invoke(capsys, "graph", "--braid", "s1^3", "--kind", "overlay", "--format", "json")
     payload = json.loads(out)

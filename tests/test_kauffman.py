@@ -156,3 +156,14 @@ def test_q_above_the_cap_is_refused_before_any_work(method):
 
 def test_q_at_the_cap_is_computed():
     assert K2q(MAX_Q, "skein") == K2q(MAX_Q, "closed")
+
+
+@pytest.mark.parametrize("q", [0, 1, 5, 30, 57])
+def test_k2q_minus_itself_is_zero(q):
+    for method in K2Q_METHODS:
+        value = K2q(q, method)
+        diff = value - K2q(q, "skein")
+        assert diff == LaurentPoly2.zero()
+        assert hash(diff) == hash(LaurentPoly2.zero())
+        assert diff.terms == {} and list(diff.z_groups()) == []
+        assert diff.to_json()["terms"] == [] and diff.to_text() == "0"

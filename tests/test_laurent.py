@@ -435,3 +435,90 @@ def test_run_plus_or_minus_a_monomial(p, q):
     assert_built_as(b + a, ref_add(p, q))
     assert_built_as(a - b, ref_add(p, q, -1))
     assert_built_as(b - a, ref_add(q, p, -1))
+
+
+# -------------------------------------- grouped two-variable terms vs a dict
+
+
+def ref_mul2(p, q):
+    out = {}
+    for (a1, z1), c1 in p.items():
+        for (a2, z2), c2 in q.items():
+            k = (a1 + a2, z1 + z2)
+            out[k] = out.get(k, 0) + c1 * c2
+    return ref_clean(out)
+
+
+# few exponents and small coefficients, so terms and whole z groups cancel
+small_exps = st.integers(min_value=-2, max_value=2)
+terms2 = st.one_of(
+    st.dictionaries(st.tuples(small_exps, small_exps), st.integers(-3, 3), max_size=8),
+    st.dictionaries(st.tuples(exps, exps), wide_coeffs, max_size=6),
+)
+
+
+def assert_groups_canonical(p):
+    groups = list(p.z_groups())
+    assert [ez for ez, _ in groups] == sorted({ez for _, ez in p.terms})
+    assert all(group and all(group.values()) for _, group in groups)
+
+
+@given(terms2, terms2)
+def test_poly2_ring_ops_match_dict_reference(p, q):
+    a, b = LaurentPoly2(p), LaurentPoly2(q)
+    for value, terms in (
+        (a, ref_clean(p)),
+        (a * b, ref_mul2(p, q)),
+        (a + b, ref_add(p, q)),
+        (a - b, ref_add(p, q, -1)),
+        (-a, {k: -c for k, c in ref_clean(p).items()}),
+        (a - a, {}),
+        (a * b - b * a, {}),
+    ):
+        assert value.terms == terms
+        assert value == LaurentPoly2(terms)
+        assert_groups_canonical(value)
+
+
+@given(terms2, terms2)
+def test_poly2_equality_and_hash_ignore_history(p, q):
+    a, b = LaurentPoly2(p), LaurentPoly2(q)
+    rebuilt = [
+        LaurentPoly2(dict(reversed(list(p.items())))),
+        LaurentPoly2({**p, (99, 99): 0}),
+        a + b - b,
+        b + a - b,
+        (a * b - b * a) + a,
+        -(-a),
+        LaurentPoly2.parse(a.to_text()),
+    ]
+    for value in rebuilt:
+        assert value == a
+        assert hash(value) == hash(a)
+        assert value.terms == a.terms
+
+
+def test_poly2_terms_and_json_stay_flat():
+    p = LaurentPoly2({(2, 1): 3, (-1, 0): -1, (0, 1): 1})
+    assert p.terms == {(2, 1): 3, (-1, 0): -1, (0, 1): 1}
+    assert p.to_json() == {
+        "variables": ["a", "z"],
+        "terms": [
+            {"a": -1, "z": 0, "coeff": -1},
+            {"a": 0, "z": 1, "coeff": 1},
+            {"a": 2, "z": 1, "coeff": 3},
+        ],
+    }
+    assert [(ez, dict(group)) for ez, group in p.z_groups()] == [(0, {-1: -1}), (1, {2: 3, 0: 1})]
+    with pytest.raises(TypeError):
+        next(p.z_groups())[1][5] = 1
+
+
+def test_poly2_products_with_a_monomial_leave_their_operands_alone():
+    p = LaurentPoly2({(1, 0): 2, (0, 1): -1, (3, 1): 1})
+    before = p.terms
+    z, a = LaurentPoly2.term(1, 0, 1), LaurentPoly2.term(-2, 1, 0)
+    assert (z * p).terms == {(1, 1): 2, (0, 2): -1, (3, 2): 1}
+    assert (p * a).terms == {(2, 0): -4, (1, 1): 2, (4, 1): -2}
+    assert ((z * p) + p - z * p - p).is_zero
+    assert p.terms == before

@@ -1,9 +1,12 @@
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from braidpoly.braid import BraidWord, parse_braid
 from braidpoly.diagram import build_diagram
+from braidpoly.dimer import bracket_via_det
 from braidpoly.errors import TooLarge, TooManyCrossings
 from braidpoly.laurent import LaurentPoly1
 from braidpoly.oracle import (
@@ -12,6 +15,7 @@ from braidpoly.oracle import (
     jones_state_sum,
     writhe_correction,
 )
+from braidpoly.tait import build_tait, thistlethwaite_sum
 from words import connected_words
 
 
@@ -30,6 +34,13 @@ def test_trefoil_bracket():
 
 def test_unknot_bracket():
     assert bracket_state_sum(build_diagram(BraidWord(1, ()))) == LaurentPoly1.one()
+
+
+def test_free_loops_multiply_by_the_loop_factor():
+    d = build_diagram(parse_braid("s1^3 s2^-2"))
+    loop = LaurentPoly1({2: -1, -2: -1})
+    with_two_more = dataclasses.replace(d, free_loops=d.free_loops + 2)
+    assert bracket_state_sum(with_two_more) == bracket_state_sum(d) * loop * loop
 
 
 def test_hopf_link_bracket():
@@ -99,6 +110,41 @@ def test_jones_parity(word):
     # every one is odd, depending only on the component count parity
     poly = jones_state_sum(word)
     assert len({e % 2 for e in poly.terms}) <= 1
+
+
+def mixed_sign(word):
+    return {m > 0 for _, m in word.syllables} == {True, False}
+
+
+@settings(max_examples=40, deadline=None)
+@given(connected_words().filter(mixed_sign))
+def test_state_sum_matches_tree_sum_on_mixed_words(word):
+    d = build_diagram(word)
+    assert bracket_state_sum(d) == thistlethwaite_sum(build_tait(d))
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["s1^5", "s1^-8", "s1^3 s2^4", "s1^-4 s2^-4 s3^-4", "s1^2 s2^3 s3^2 s4^2 s5^3", "s1^6 s2^6"],
+)
+def test_state_sum_matches_the_determinant_on_family_words(text):
+    word = parse_braid(text)
+    assert bracket_state_sum(build_diagram(word)) == bracket_via_det(word)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "s1 s2^-1 s1 s2^-1",
+        "s1^2 s2^-3 s1 s3^2 s2^-1",
+        "s1^-2 s2 s3^-1 s2^2 s1^3 s3",
+        # 15 crossings on four strands, both signs
+        "s1^2 s2^-3 s1 s3^2 s2^-1 s3^-2 s1^3 s2",
+    ],
+)
+def test_state_sum_matches_tree_sum_on_fixed_mixed_words(text):
+    d = build_diagram(parse_braid(text))
+    assert bracket_state_sum(d) == thistlethwaite_sum(build_tait(d))
 
 
 def test_cofactor_identity_and_zero():

@@ -3,13 +3,16 @@
     python3 tools/bench_pairs.py --number 6 --parent HEAD~1 --pairs 10
     python3 tools/bench_pairs.py --number 6 --parent HEAD~1 --workloads det-large --pairs 3
 
-Run from anywhere inside the checkout.  The change is the checkout as it
-stands, uncommitted edits included; the parent is the tree of ``--parent``,
-exported with ``git archive`` into a temporary directory, so the
-repository's own metadata is left as it was.  A parent that is HEAD of a
-clean checkout is refused, since both sides would be the same tree.  Each
-side runs its own ``perfbench/run.py`` on its own ``src/``, one process at
-a time, for BENCHMARK.json's ``run_seconds``.
+Run from anywhere inside the checkout.  Both sides run from sibling
+directories under one temporary directory, so neither gains from where it
+lies: the parent is the tree of ``--parent``, exported with ``git
+archive``, and the change is the checkout as it stands, copied file by
+file: tracked files with their uncommitted edits, and untracked files that
+``.gitignore`` does not exclude.  The repository's own metadata is left as
+it was.  A parent that is HEAD of a clean checkout is refused, since both
+sides would be the same tree.  Each side runs its own ``perfbench/run.py``
+on its own ``src/``, one process at a time, for BENCHMARK.json's
+``run_seconds``.
 
 For each workload, pair k (counting from 0) runs ``--trace 0`` on both
 sides with seed k + 1, the parent first in even pairs and the change
@@ -24,9 +27,11 @@ each side's per-layer metrics from its traced run.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import os
 import platform
+import shutil
 import statistics
 import subprocess
 import sys
@@ -44,14 +49,30 @@ def git(*args: str) -> str:
     ).stdout.strip()
 
 
-def export_tree(rev: str, into: Path) -> None:
-    """The committed tree of ``rev``, unpacked under ``into``."""
-    archive = into / "tree.tar"
-    with open(archive, "wb") as out:
-        subprocess.run(["git", "archive", rev], cwd=ROOT, check=True, stdout=out)
-    with tarfile.open(archive) as tar:
-        tar.extractall(into / "tree")
-    archive.unlink()
+def export_commit(root: Path, rev: str, into: Path) -> None:
+    """The committed tree of ``rev`` in the repository at ``root``, unpacked into ``into``."""
+    archive = subprocess.run(["git", "archive", rev], cwd=root, check=True, capture_output=True)
+    with tarfile.open(fileobj=io.BytesIO(archive.stdout)) as tar:
+        tar.extractall(into)
+
+
+def export_checkout(root: Path, into: Path) -> None:
+    """The checkout at ``root`` as it stands, copied into ``into``.
+
+    Tracked files are copied with their uncommitted edits, and a tracked
+    file deleted in the checkout is left out.  Untracked files are copied
+    unless ``.gitignore`` excludes them.
+    """
+    listing = subprocess.run(
+        ["git", "ls-files", "-z", "--cached", "--others", "--exclude-standard"],
+        cwd=root, check=True, capture_output=True,
+    ).stdout
+    for name in filter(None, listing.decode().split("\0")):
+        source = root / name
+        if source.is_symlink() or source.is_file():
+            target = into / name
+            target.parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(source, target, follow_symlinks=False)
 
 
 def bench(tree: Path, workload: str, seed: int, seconds: int, trace: int) -> dict:
@@ -147,8 +168,9 @@ def main() -> int:
         "workloads": {},
     }
     with tempfile.TemporaryDirectory() as tmp:
-        export_tree(args.parent, Path(tmp))
-        sides = {"parent": Path(tmp) / "tree", "change": ROOT}
+        sides = {"parent": Path(tmp) / "parent", "change": Path(tmp) / "change"}
+        export_commit(ROOT, args.parent, sides["parent"])
+        export_checkout(ROOT, sides["change"])
         for workload in names:
             runs = {"parent": [], "change": []}
             for k, seed in enumerate(seeds):
