@@ -25,7 +25,7 @@ run that holds it, or a subtraction of it, takes the Kronecker path.
 The determinant path divides by nothing but units, so a quotient by any
 other value is schoolbook division of the coefficient lists.
 ``LaurentPoly2`` groups its terms by power of z: a dict from each z
-exponent to a dict from a exponents to nonzero ints.  That takes 0.54-0.64
+exponent to a dict from a exponents to nonzero ints.  That takes 0.54-0.65
 of the bytes of one dict keyed by (a, z) pairs on the (2,q) torus values
 at q = 36-57, since no term needs a key tuple.  A product with a monomial,
 nearly every product the Kauffman layer makes, moves or scales the groups;
