@@ -16,7 +16,6 @@ __all__ = [
     "UnbalancedGraph",
     "NoKasteleynSolution",
     "NotDivisible",
-    "ZeroAssignment",
     "BarredLetter",
     "UnsupportedWord",
     "TooManyCrossings",
@@ -62,10 +61,6 @@ class NoKasteleynSolution(BraidPolyError):
 
 class NotDivisible(BraidPolyError):
     """Exact Laurent division was requested but the quotient is not integral."""
-
-
-class ZeroAssignment(BraidPolyError):
-    """A Laurent variable was evaluated at zero."""
 
 
 class BarredLetter(BraidPolyError):

@@ -31,7 +31,9 @@ at q = 36-57, since no term needs a key tuple.  A product with a monomial,
 nearly every product the Kauffman layer makes, moves or scales the groups;
 a product with ``z^k`` shares them.
 
-Rendering conventions, fixed once and relied on by the CLI tests:
+Text and JSON are output formats only; nothing in the package reads a
+polynomial back.  Rendering conventions, fixed once and relied on by
+the CLI tests:
 
 * one variable: terms in descending exponent, ``A^-4 + A^-12 - A^-16``;
 * two variables: grouped by ascending power of ``z``, descending ``a``
@@ -42,14 +44,12 @@ Rendering conventions, fixed once and relied on by the CLI tests:
 
 from __future__ import annotations
 
-import re
 import sys
 from array import array
-from fractions import Fraction
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping
 
-from .errors import BraidSyntaxError, NotDivisible, ZeroAssignment
+from .errors import NotDivisible
 
 __all__ = [
     "LaurentPoly1",
@@ -480,13 +480,6 @@ class LaurentPoly1:
         quot = _long_division(self._coeffs(s), divisor._coeffs(s))
         return LaurentPoly1._canonical(lo, s, *_pack(quot))
 
-    def evaluate(self, value: Fraction | int) -> Fraction:
-        """Evaluate at a nonzero rational; exact by construction."""
-        value = Fraction(value)
-        if value == 0:
-            raise ZeroAssignment("A = 0 is outside the Laurent domain")
-        return sum((c * value**e for e, c in self.terms.items()), Fraction(0))
-
     def to_text(self) -> str:
         terms = self.terms
         if not terms:
@@ -503,16 +496,6 @@ class LaurentPoly1:
             "variable": "A",
             "terms": [{"exp": e, "coeff": terms[e]} for e in sorted(terms)],
         }
-
-    @classmethod
-    def parse(cls, text: str) -> "LaurentPoly1":
-        """Parse the format emitted by :meth:`to_text`."""
-        terms: dict[int, int] = {}
-        for sign, body in _signed_chunks(text):
-            coeff, exps = _parse_monomial(body, ("A",))
-            e = exps["A"]
-            terms[e] = terms.get(e, 0) + sign * coeff
-        return cls(terms)
 
     def __repr__(self) -> str:
         return f"LaurentPoly1({self.to_text()!r})"
@@ -670,16 +653,6 @@ class LaurentPoly2:
             n >>= 1
         return out
 
-    def evaluate(self, a: Fraction | int, z: Fraction | int) -> Fraction:
-        a = Fraction(a)
-        z = Fraction(z)
-        if a == 0 or z == 0:
-            raise ZeroAssignment("a = 0 or z = 0 is outside the Laurent domain")
-        return sum(
-            (c * a**ea * z**ez for ez, g in self._groups.items() for ea, c in g.items()),
-            Fraction(0),
-        )
-
     def z_groups(self) -> Iterator[tuple[int, Mapping[int, int]]]:
         """Pairs (z exponent, read-only {a exponent: coeff}) in ascending z order."""
         groups = self._groups
@@ -701,24 +674,6 @@ class LaurentPoly2:
                 {"a": ea, "z": ez, "coeff": c} for (ea, ez), c in sorted(self.terms.items())
             ],
         }
-
-    @classmethod
-    def parse(cls, text: str) -> "LaurentPoly2":
-        """Parse the format emitted by :meth:`to_text`."""
-        terms: dict[tuple[int, int], int] = {}
-        for sign, body in _signed_chunks(text):
-            m = re.fullmatch(r"\((?P<inner>[^()]*)\)\s*(?P<zpart>z(\^-?\d+)?)?", body)
-            if m:
-                ez = _var_exp(m.group("zpart"), "z")
-                for isign, ibody in _signed_chunks(m.group("inner")):
-                    coeff, exps = _parse_monomial(ibody, ("a",))
-                    k = (exps["a"], ez)
-                    terms[k] = terms.get(k, 0) + sign * isign * coeff
-            else:
-                coeff, exps = _parse_monomial(body, ("a", "z"))
-                k = (exps["a"], exps["z"])
-                terms[k] = terms.get(k, 0) + sign * coeff
-        return cls(terms)
 
     def __repr__(self) -> str:
         return f"LaurentPoly2({self.to_text()!r})"
@@ -757,62 +712,3 @@ def _render_group(group: dict[int, int], ez: int, first: bool) -> str:
         inner_parts.append(_join_sign(c, _monomial(abs(c), "a", ea), first=not inner_parts))
     body = f"({''.join(inner_parts)}){zpart}"
     return _join_sign(-1 if negate else 1, body, first)
-
-
-# ------------------------------------------------------------------ parsing
-
-def _signed_chunks(text: str) -> Iterator[tuple[int, str]]:
-    """Split ``x + y - z`` into (sign, chunk) pairs, paren aware."""
-    text = text.strip()
-    if not text or text == "0":
-        return
-    pos = 0
-    sign = 1
-    if text[0] in "+-":
-        sign = -1 if text[0] == "-" else 1
-        pos = 1
-    depth = 0
-    start = pos
-    chunks: list[tuple[int, str]] = []
-    while pos <= len(text):
-        ch = text[pos] if pos < len(text) else None
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        boundary = ch is None or (
-            depth == 0 and ch in "+-" and pos > start and text[pos - 1] == " "
-        )
-        if boundary:
-            chunk = text[start:pos].strip()
-            if not chunk:
-                raise BraidSyntaxError(f"empty term in polynomial text: {text!r}")
-            chunks.append((sign, chunk))
-            if ch is None:
-                break
-            sign = -1 if ch == "-" else 1
-            start = pos + 1
-        pos += 1
-    yield from chunks
-
-
-def _var_exp(part: str | None, var: str) -> int:
-    if not part:
-        return 0
-    if part == var:
-        return 1
-    return int(part[len(var) + 1 :])
-
-
-def _parse_monomial(body: str, variables: tuple[str, ...]) -> tuple[int, dict[str, int]]:
-    var_re = "".join(
-        rf"\s*(?P<{v}>{v}(\^-?\d+)?)?" for v in variables
-    )
-    m = re.fullmatch(rf"(?P<coeff>\d+)?{var_re}", body.strip())
-    if m is None:
-        raise BraidSyntaxError(f"bad monomial: {body!r}")
-    coeff = int(m.group("coeff")) if m.group("coeff") else 1
-    exps = {v: _var_exp(m.group(v), v) for v in variables}
-    if m.group("coeff") is None and all(m.group(v) is None for v in variables):
-        raise BraidSyntaxError(f"bad monomial: {body!r}")
-    return coeff, exps

@@ -11,9 +11,10 @@ innermost pair on the right.
 Each surviving face gets one edge per incident crossing, even when the
 boundary touches that crossing at both opposite quadrants.  The edge's
 corner is the first of the crossing's four darts, in slot order, that
-lies in the face.  Corners anchor the embedding: the rotation at a
-crossing is its edges in slot order, and the rotation at a face is its
-edges' corners in the order of its boundary walk.
+lies in the face.  Corners anchor the embedding while it is built: the
+rotation at a crossing is its edges in the slot order of their corners,
+and the rotation at a face is its edges in the order their corners come
+on its boundary walk.  The edges do not keep their corners.
 
 Those two rotations are also the graph's incidence index:
 ``crossing_rotation[cid]`` holds the edge positions at a crossing and
@@ -36,7 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .activity import ActivityWord, signed_letter
-from .diagram import Dart, LinkDiagram
+from .diagram import LinkDiagram
 from .errors import TooManyCrossings, UnbalancedGraph, UnsupportedWord
 from .kauffman import specialize_bracket
 from .laurent import LaurentPoly1
@@ -61,7 +62,6 @@ Matching = frozenset
 class OverlayEdge:
     crossing_id: int
     face_id: int
-    corner: Dart
     letter: str | None = None
     kasteleyn_sign: int = 1
 
@@ -113,7 +113,7 @@ def build_overlay(d: LinkDiagram) -> OverlayGraph:
     edge_at = [-1] * len(at)  # corner -> edge position
     for i, c in enumerate(order):
         edge_at[c] = i
-    edges = tuple([OverlayEdge((c >> 2) + 1, face_index[c], c) for c in order])
+    edges = tuple([OverlayEdge((c >> 2) + 1, face_index[c]) for c in order])
     # rotations: at a crossing in slot order, at a face along its boundary
     # walk; -1 marks a corner that is no edge's
     crossing_rotation = {

@@ -1,10 +1,13 @@
+import importlib
 import json
+import pkgutil
 import subprocess
 import sys
 
 import jsonschema
 import pytest
 
+import braidpoly
 from braidpoly import cli, dimer
 from braidpoly.cli import run
 from braidpoly.diagram import build_diagram
@@ -264,6 +267,23 @@ def test_console_script_entry_point():
     )
     assert result.returncode == 0
     assert result.stdout == TREFOIL + "\n"
+
+
+def test_cli_loads_no_rational_arithmetic_and_every_export_resolves():
+    # nothing evaluates a polynomial at a number, so a CLI process should
+    # not pay for importing rational or decimal arithmetic
+    probe = "import sys, braidpoly.cli; print(sorted({'fractions', 'decimal'} & set(sys.modules)))"
+    result = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=child_env()
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[]\n"
+    # a name left in __all__ after its definition is gone breaks `import *`
+    for info in pkgutil.iter_modules(braidpoly.__path__, "braidpoly."):
+        module = importlib.import_module(info.name)
+        missing = [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
+        assert missing == [], info.name
+    assert [name for name in braidpoly.__all__ if not hasattr(braidpoly, name)] == []
 
 
 @pytest.mark.parametrize(

@@ -204,20 +204,25 @@ def test_determinant_evaluates_letters_on_corpus_matrices():
     assert (len(sizes), max(sizes)) == (168, 12)
 
 
+def sparse_rows(rows):
+    """Dense rows as the column-to-entry maps ``bareiss_determinant`` takes: no zeros."""
+    return [{j: x for j, x in enumerate(row) if x} for row in rows]
+
+
 def test_bareiss_upper_triangular_is_diagonal_product():
     a = LaurentPoly1.term(1, 2)
     b = LaurentPoly1.term(-1, 0)
     c = LaurentPoly1({1: 1, -1: 1})
     z = LaurentPoly1.zero()
     rows = [[a, b, c], [z, b, a], [z, z, c]]
-    assert bareiss_determinant([dict(enumerate(row)) for row in rows]) == a * b * c
+    assert bareiss_determinant(sparse_rows(rows)) == a * b * c
 
 
 def test_bareiss_row_swap_sign():
     z = LaurentPoly1.zero()
     one = LaurentPoly1.one()
-    assert bareiss_determinant([dict(enumerate(r)) for r in [[z, one], [one, z]]]).terms == {0: -1}
-    assert bareiss_determinant([dict(enumerate(r)) for r in [[z, one], [z, one]]]).is_zero
+    assert bareiss_determinant(sparse_rows([[z, one], [one, z]])).terms == {0: -1}
+    assert bareiss_determinant(sparse_rows([[z, one], [z, one]])).is_zero
     assert bareiss_determinant([]).terms == {0: 1}
 
 
@@ -249,7 +254,7 @@ def test_bareiss_rest_with_fewer_columns_than_rows_is_zero(monkeypatch):
     calls = reaching_the_rest(monkeypatch)
     expected = cofactor_det(rows)
     assert expected.is_zero
-    assert bareiss_determinant([dict(enumerate(r)) for r in rows]) == expected
+    assert bareiss_determinant(sparse_rows(rows)) == expected
     assert calls == [3]
 
 
@@ -269,7 +274,7 @@ def test_bareiss_rest_swaps_rows_on_a_zero_pivot(monkeypatch):
     ops = OpCounter()
     expected = cofactor_det(rows)
     assert not expected.is_zero
-    assert bareiss_determinant([dict(enumerate(r)) for r in rows], ops) == expected
+    assert bareiss_determinant(sparse_rows(rows), ops) == expected
     assert calls == [4]
     assert ops.divs > 0
 
@@ -286,7 +291,7 @@ def sparse_poly(rng: random.Random) -> LaurentPoly1:
 def test_bareiss_matches_cofactor_on_sparse_8x8():
     rng = random.Random(20260823)
     rows = [[sparse_poly(rng) for _ in range(8)] for _ in range(8)]
-    assert bareiss_determinant([dict(enumerate(r)) for r in rows]) == cofactor_det(rows)
+    assert bareiss_determinant(sparse_rows(rows)) == cofactor_det(rows)
 
 
 def unit_poly(rng: random.Random) -> LaurentPoly1:
@@ -360,7 +365,7 @@ def test_bareiss_matches_cofactor_on_random_matrices(seed, n, kind):
         for i in range(n):
             rows[i][i] = LaurentPoly1.zero()
     expected = cofactor_det(rows)
-    assert bareiss_determinant([dict(enumerate(r)) for r in rows]) == expected
+    assert bareiss_determinant(sparse_rows(rows)) == expected
     if kind in ("singular", "unit singular"):
         assert expected.is_zero
 
@@ -460,21 +465,24 @@ def test_op_counter_growth_is_subquartic():
 
 def test_unit_first_pivots_keep_divisions_few():
     # only a non-unit pivot makes a division; an elimination in Markowitz
-    # order alone, with no preference for units, once took 148 here
+    # order alone, with no preference for units, once took 148 here, and
+    # peeling and unit steps take none
     word = parse_braid(" ".join(f"s{i}^10" for i in range(1, 11)))
     ops = OpCounter()
     determinant(adjacency_matrix(prepare_overlay(word)), ops)
-    assert ops.divs < 74
+    assert ops.divs == 0
 
 
 def test_wide_word_needs_no_big_division():
     # 100 generators at the crossing cap.  Carrying each dense-column pivot
     # through the later rows once took 293 big exact divisions here; peeling
-    # and unit steps leave no rest, and a 6 x 6 dense rest would make 30
+    # and unit steps leave no rest, so none
     word = parse_braid(" ".join(f"s{i}^10" for i in range(1, 101)))
+    m = adjacency_matrix(prepare_overlay(word))
     ops = OpCounter()
-    assert bracket_via_det(word, ops) == torus_bracket(10) ** 100
-    assert ops.divs <= 36
+    det = determinant(m, ops)
+    assert (det if fix_sign(m) > 0 else -det) == torus_bracket(10) ** 100
+    assert ops.divs == 0
 
 
 def test_family_words_never_reach_the_bareiss_rest(monkeypatch):
@@ -518,9 +526,9 @@ def test_bracket_via_det_takes_one_whole_matrix_per_word(monkeypatch):
     # the last three overlays have two components; the matrix stays whole
     seen = []
 
-    def spy(m, ops=None):
+    def spy(m):
         seen.append(m)
-        return determinant(m, ops)
+        return determinant(m)
 
     monkeypatch.setattr(dimer, "determinant", spy)
     for text in ("s1^3", "s1^2 s2^3", "s1^-3 s2^-2 s3^-4", "s1 s2 s3"):

@@ -187,7 +187,7 @@ def test_isolated_vertex_has_no_matchings():
         crossings=(1, 2),
         faces=(10, 11),
         shaded=frozenset({10}),
-        edges=(OverlayEdge(1, 10, (1, 0), "L"), OverlayEdge(2, 10, (2, 0), "D")),
+        edges=(OverlayEdge(1, 10, "L"), OverlayEdge(2, 10, "D")),
         crossing_rotation={1: (0,), 2: (1,)},
         face_rotation={10: (0, 1), 11: ()},
         crossing_signs={1: 1, 2: 1},
