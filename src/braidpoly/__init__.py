@@ -13,9 +13,9 @@ from .diagram import LinkDiagram, build_diagram, close_braid
 from .dimer import (
     ModifiedAdjacencyMatrix,
     adjacency_matrix,
+    bracket_sign,
     bracket_via_det,
     determinant,
-    fix_sign,
     jones_via_det,
     kasteleyn_sign,
     prepare_overlay,
@@ -53,8 +53,8 @@ __all__ = [
     "ModifiedAdjacencyMatrix",
     "adjacency_matrix",
     "determinant",
-    "fix_sign",
     "kasteleyn_sign",
+    "bracket_sign",
     "bracket_via_det",
     "jones_via_det",
     "prepare_overlay",

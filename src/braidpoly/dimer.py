@@ -4,23 +4,23 @@ The enumeration modules get the bracket by listing trees or matchings;
 this one gets it in polynomial time.  Steps: sign the overlay edges so
 every face of its embedding satisfies the dimer parity rule, build the
 crossing-by-face matrix of signed letters, evaluate and eliminate it
-over the Laurent ring, and repair the global sign from any single
-perfect matching.  The matrix is the one ``braidpoly matrix`` prints,
-over the whole overlay: the bracket is its sign-fixed determinant,
-whatever the overlay's connected components.
+over the Laurent ring, and take the global sign from the determinant's
+value at A = 1, which also checks its size.  The matrix is the one
+``braidpoly matrix`` prints, over the whole overlay: the bracket is its
+determinant times that sign, whatever the overlay's connected
+components.
 
 Each matrix row is a map from column position to nonzero cell, a
 (Kasteleyn sign, letter) pair filled from the overlay's crossing
 rotation.  ``determinant`` is the one place a cell becomes its signed
-bracket image; the matching behind the sign fix and the symbolic
-expansion read the cells as they are, and the dense ``entries`` view
-exists only for printing.  Every image is a unit +-A^k, so the
-elimination peels rows and columns with one nonzero by Laplace
-expansion, takes plain Gaussian steps on unit pivots, and leaves only
-what neither reaches to a small dense fraction-free (Bareiss)
-elimination, kept for general matrices.  On the matrices of family
-words that rest is empty: no division but shifts, and the number of ring
-operations grows about linearly with the crossing count.
+bracket image; the symbolic expansion reads the cells as they are, and
+the dense ``entries`` view exists only for printing.  Every image is a
+unit +-A^k, so the elimination peels rows and columns with one nonzero
+by Laplace expansion, takes plain Gaussian steps on unit pivots, and
+leaves only what neither reaches to a small dense fraction-free
+(Bareiss) elimination, kept for general matrices.  On the matrices of
+family words that rest is empty: no division but shifts, and the number
+of ring operations grows about linearly with the crossing count.
 
 Signing is a GF(2) solve: one unknown per edge, one parity equation
 per traced face, where a face of boundary length 2k wants its negative
@@ -29,7 +29,8 @@ component the unbounded equation is the sum of the bounded ones, so
 nothing is overconstrained.  Every component has as many crossings as
 faces: one that had not would have no perfect matching, so the matching
 sum, which is the bracket, would be 0.  The bracket never is; at A = 1
-it is +-2^(mu - 1) for a link of mu components.
+it is (-1)^w (-2)^(mu - 1) for a closure of writhe w and mu components,
+which ``bracket_sign`` reads.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from heapq import heapify, heappop, heappush
 from .activity import ActivityWord
 from .braid import BraidWord
 from .diagram import build_diagram
-from .errors import NoKasteleynSolution, NotDivisible
+from .errors import DeterminantCheckFailed, NoKasteleynSolution, NotDivisible
 from .kauffman import BRACKET_IMAGE
 from .laurent import LaurentPoly1
 from .oracle import writhe_correction
@@ -58,7 +59,7 @@ __all__ = [
     "bareiss_determinant",
     "determinant",
     "symbolic_determinant",
-    "fix_sign",
+    "bracket_sign",
     "bracket_via_det",
     "jones_via_det",
     "prepare_overlay",
@@ -502,58 +503,25 @@ def symbolic_determinant(m: ModifiedAdjacencyMatrix) -> dict[tuple, int]:
     return {key: coeff for key, coeff in out.items() if coeff}
 
 
-def _maximum_matching(m: ModifiedAdjacencyMatrix) -> dict[int, int] | None:
-    """Row position -> column position, via augmenting paths.
+def bracket_sign(word: BraidWord, det: LaurentPoly1) -> int:
+    """The unit making sign * det the bracket of ``word``'s closure.
 
-    A row takes its first free column when it has one; each row's map
-    lists its columns in order.  Otherwise a depth-first search looks
-    for an augmenting path, kept on explicit stacks because a path can
-    be as long as the matrix, past the recursion limit.
+    At A = 1 the bracket is (-1)^w (-2)^(mu - 1) for writhe w and mu
+    components (Jones 1985: V(1) = (-2)^(mu - 1)).  In the family
+    s1^m1 ... s(n-1)^m(n-1), the only shape ``build_overlay`` takes, an
+    odd m_i joins the cycles of strands i and i + 1 and an even one does
+    not, so mu is 1 plus the number of even exponents.  A value at 1,
+    the sum of the coefficients, of any other size is a signing or
+    elimination bug.
     """
-    adjacency = m.sparse
-    match_col: dict[int, int] = {}
-    for root, row in enumerate(adjacency):
-        for j in row:
-            if j not in match_col:
-                match_col[j] = root
-                break
-        else:
-            # the columns taken along the path, and each path row's untried columns
-            cols, options = [], [iter(row)]
-            banned: set[int] = set()
-            while options:
-                j = next((j for j in options[-1] if j not in banned), None)
-                if j is None:
-                    options.pop()
-                    if cols:
-                        cols.pop()
-                    continue
-                banned.add(j)
-                cols.append(j)
-                if j not in match_col:
-                    break
-                options.append(iter(adjacency[match_col[j]]))
-            else:
-                return None
-            i = root
-            for j in cols:  # each column on the path passes to the row before it
-                i, match_col[j] = match_col.get(j), i
-    return {i: j for j, i in match_col.items()}
-
-
-def fix_sign(m: ModifiedAdjacencyMatrix) -> int:
-    """The unit making sign * det equal the matching sum; +1 if det is 0.
-
-    It is the sign of one perfect matching's term: the sign of its
-    permutation times the Kasteleyn signs of its cells.
-    """
-    matching = _maximum_matching(m)
-    if matching is None:
-        return 1
-    sign = _permutation_sign([matching[i] for i in range(len(m.rows))])
-    for i, j in matching.items():
-        sign *= m.sparse[i][j][0]
-    return sign
+    at_one = sum(det.terms.values())
+    mu = 1 + sum(1 for _, m in word.syllables if m % 2 == 0)
+    expected = (-2) ** (mu - 1) * (-1 if word.writhe % 2 else 1)
+    if abs(at_one) != abs(expected):
+        raise DeterminantCheckFailed(
+            f"determinant of {word.to_text()} is {at_one} at A = 1, not +-{abs(expected)}"
+        )
+    return 1 if at_one == expected else -1
 
 
 def prepare_overlay(word: BraidWord) -> OverlayGraph:
@@ -562,10 +530,9 @@ def prepare_overlay(word: BraidWord) -> OverlayGraph:
 
 
 def bracket_via_det(word: BraidWord) -> LaurentPoly1:
-    """Bracket of the closure: the sign-fixed determinant of its letter matrix."""
-    m = adjacency_matrix(prepare_overlay(word))
-    det = determinant(m)
-    return det if fix_sign(m) > 0 else -det
+    """Bracket of the closure: the determinant of its letter matrix, signed."""
+    det = determinant(adjacency_matrix(prepare_overlay(word)))
+    return det if bracket_sign(word, det) > 0 else -det
 
 
 def jones_via_det(word: BraidWord) -> LaurentPoly1:

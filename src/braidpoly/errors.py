@@ -15,6 +15,7 @@ __all__ = [
     "ColoringContradiction",
     "UnbalancedGraph",
     "NoKasteleynSolution",
+    "DeterminantCheckFailed",
     "NotDivisible",
     "BarredLetter",
     "UnsupportedWord",
@@ -57,6 +58,10 @@ class UnbalancedGraph(BraidPolyError):
 
 class NoKasteleynSolution(BraidPolyError):
     """The face-parity sign system is inconsistent; indicates an embedding bug."""
+
+
+class DeterminantCheckFailed(BraidPolyError):
+    """The determinant's value at A = 1 has the wrong size; a signing or elimination bug."""
 
 
 class NotDivisible(BraidPolyError):

@@ -19,9 +19,8 @@ on its boundary walk.  The edges do not keep their corners.
 Those two rotations are also the graph's incidence index:
 ``crossing_rotation[cid]`` holds the edge positions at a crossing and
 ``face_rotation[fid]`` each edge of a face exactly once.  Letters,
-components, matchings, the signed matrix and its sign fix all read
-incidence from them, so nothing downstream scans the whole edge list
-per vertex.
+matchings and the signed matrix all read incidence from them, so
+nothing downstream scans the whole edge list per vertex.
 
 Edges run by crossing, then by face order, so a face's lowest edge
 position is its edge at its lowest-numbered crossing.  Letters, per
@@ -51,7 +50,6 @@ __all__ = [
     "perfect_matchings",
     "matching_word",
     "partition_function",
-    "components",
     "overlay_to_dot",
 ]
 
@@ -206,43 +204,6 @@ def partition_function(g: OverlayGraph, max_crossings: int = DEFAULT_CROSSING_CA
     for m in perfect_matchings(g, max_crossings):
         total = total + specialize_bracket(matching_word(g, m))
     return total
-
-
-def components(g: OverlayGraph) -> list[tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]]:
-    """Connected components as (crossing ids, face ids, edge positions).
-
-    Orders within each tuple follow the graph's global order, and
-    components are listed by their first crossing.
-    """
-    block_of: dict[int, int] = {}  # crossing id -> component
-    face_block: dict[int, int] = {}
-    blocks = 0
-    for start in g.crossings:
-        if start in block_of:
-            continue
-        block_of[start] = blocks
-        stack = [start]
-        while stack:
-            for i in g.crossing_rotation[stack.pop()]:
-                fid = g.edges[i].face_id
-                if fid in face_block:
-                    continue
-                face_block[fid] = blocks
-                for k in g.face_rotation[fid]:
-                    other = g.edges[k].crossing_id
-                    if other not in block_of:
-                        block_of[other] = blocks
-                        stack.append(other)
-        blocks += 1
-    out = [([], [], []) for _ in range(blocks)]
-    for cid in g.crossings:
-        out[block_of[cid]][0].append(cid)
-    for fid in g.faces:
-        if fid in face_block:
-            out[face_block[fid]][1].append(fid)
-    for i, e in enumerate(g.edges):
-        out[block_of[e.crossing_id]][2].append(i)
-    return [(tuple(cids), tuple(fids), tuple(eids)) for cids, fids, eids in out]
 
 
 def overlay_to_dot(g: OverlayGraph) -> str:

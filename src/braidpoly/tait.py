@@ -92,10 +92,11 @@ def dual_tait(d: LinkDiagram) -> TaitGraph:
 def spanning_trees(g: TaitGraph, max_edges: int = DEFAULT_CROSSING_CAP) -> Iterator[SpanningTree]:
     """All spanning trees, as frozensets of edge positions.
 
-    Plain include/exclude recursion over the edge list with a
-    component-count feasibility bound; fine at enumeration scale, and
-    capped like the other exponential paths.  The cap is checked before
-    the stream starts.
+    Include/exclude recursion over the edge list, in edge order.  An
+    edge is left out only when the chosen edges and the later ones still
+    connect the graph, so every branch ends in a tree and the work grows
+    with the trees listed.  Capped like the other exponential paths; the
+    cap is checked before the stream starts.
     """
     if len(g.edges) > max_edges:
         raise TooManyCrossings(
@@ -106,6 +107,7 @@ def spanning_trees(g: TaitGraph, max_edges: int = DEFAULT_CROSSING_CAP) -> Itera
 
 def _tree_stream(g: TaitGraph) -> Iterator[SpanningTree]:
     index = {v: i for i, v in enumerate(g.vertices)}
+    ends = [(index[u], index[v]) for u, v in (e.endpoints for e in g.edges)]
     n = len(g.vertices)
 
     def find(parent: list[int], x: int) -> int:
@@ -114,21 +116,34 @@ def _tree_stream(g: TaitGraph) -> Iterator[SpanningTree]:
             x = parent[x]
         return x
 
+    def connects(parent: list[int], components: int, start: int) -> bool:
+        """Whether the edges from ``start`` on join ``parent``'s components into one."""
+        parent = list(parent)
+        for u, v in ends[start:]:
+            if components == 1:
+                break
+            ru, rv = find(parent, u), find(parent, v)
+            if ru != rv:
+                parent[ru] = rv
+                components -= 1
+        return components == 1
+
+    # every call's chosen edges plus the edges from pos on connect the graph
     def recurse(pos: int, parent: list[int], components: int, chosen: tuple[int, ...]):
         if components == 1:
             yield frozenset(chosen)
             return
-        if len(g.edges) - pos < components - 1:
-            return
-        u, v = g.edges[pos].endpoints
-        ru, rv = find(parent, index[u]), find(parent, index[v])
+        u, v = ends[pos]
+        ru, rv = find(parent, u), find(parent, v)
         if ru != rv:
             merged = list(parent)
             merged[ru] = rv
             yield from recurse(pos + 1, merged, components - 1, chosen + (pos,))
-        yield from recurse(pos + 1, parent, components, chosen)
+        if connects(parent, components, pos + 1):
+            yield from recurse(pos + 1, parent, components, chosen)
 
-    yield from recurse(0, list(range(n)), n, ())
+    if connects(list(range(n)), n, 0):
+        yield from recurse(0, list(range(n)), n, ())
 
 
 def _tree_adjacency(g: TaitGraph, tree: SpanningTree) -> dict[int, list[tuple[int, int]]]:

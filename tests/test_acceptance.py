@@ -17,9 +17,9 @@ from braidpoly.diagram import build_diagram
 from braidpoly.dimer import (
     OpCounter,
     adjacency_matrix,
+    bracket_sign,
     determinant,
     embedding_faces,
-    fix_sign,
     jones_via_det,
     prepare_overlay,
     symbolic_determinant,
@@ -79,7 +79,7 @@ def test_criterion_2_trefoil_matrix_and_words():
         word = parse_braid("s1^3")
         overlay = prepare_overlay(word)
         m = adjacency_matrix(overlay)
-        s = fix_sign(m)
+        s = bracket_sign(word, determinant(m))
         det = Counter(
             {key: s * coeff for key, coeff in symbolic_determinant(m).items()}
         )
@@ -119,9 +119,9 @@ def test_criterion_4_dimer_identity_on_corpus():
             overlay = prepare_overlay(word)
             z = partition_function(overlay)
             assert z == bracket_state_sum(build_diagram(word))
-            m = adjacency_matrix(overlay)
-            s = fix_sign(m)
-            assert LaurentPoly1.term(s, 0) * determinant(m) == z
+            det = determinant(adjacency_matrix(overlay))
+            s = bracket_sign(word, det)
+            assert LaurentPoly1.term(s, 0) * det == z
         assert time.perf_counter() - start < 120.0
 
     _verdict(4, "partition function equals bracket and signed determinant on corpus", check)

@@ -1,36 +1,35 @@
-import itertools
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from braidpoly import dimer, overlay
+from braidpoly import dimer
 from braidpoly.activity import ActivityWord
 from braidpoly.braid import parse_braid
 from braidpoly.diagram import build_diagram
 from braidpoly.dimer import (
     ModifiedAdjacencyMatrix,
     OpCounter,
-    _maximum_matching,
     _solve_gf2,
     adjacency_matrix,
     bareiss_determinant,
+    bracket_sign,
     bracket_via_det,
     determinant,
     embedding_faces,
-    fix_sign,
     jones_via_det,
     kasteleyn_sign,
     prepare_overlay,
     symbolic_determinant,
 )
-from braidpoly.errors import NoKasteleynSolution, UnsupportedWord
+from braidpoly.errors import DeterminantCheckFailed, NoKasteleynSolution, UnsupportedWord
 from braidpoly.kauffman import BRACKET_IMAGE
 from braidpoly.laurent import LaurentPoly1
 from braidpoly.oracle import bracket_state_sum, cofactor_det, jones_state_sum
-from braidpoly.overlay import components, partition_function
+from braidpoly.overlay import partition_function
 
+from overlay_parts import overlay_components
 from words import corpus_words, family_words
 
 
@@ -55,9 +54,9 @@ def test_single_crossing_overlay_is_trivially_signed():
     assert [e.kasteleyn_sign for e in g.edges] == [1]
     walks = embedding_faces(g)
     assert [len(w) for w in walks] == [2]
-    m = adjacency_matrix(g)
-    assert fix_sign(m) == 1
-    assert determinant(m).terms == {3: -1}
+    det = determinant(adjacency_matrix(g))
+    assert det.terms == {3: -1}
+    assert bracket_sign(parse_braid("s1"), det) == 1
 
 
 def test_two_crossing_overlay_signing_and_text():
@@ -67,8 +66,9 @@ def test_two_crossing_overlay_signing_and_text():
     assert sum(1 for e in g.edges if e.kasteleyn_sign < 0) == 1
     m = adjacency_matrix(g)
     assert m.to_text(symbolic=True) == "[ -L  l ]\n[  D  d ]"
-    s = fix_sign(m)
-    assert (LaurentPoly1.term(s, 0) * determinant(m)).terms == {4: -1, -4: -1}
+    det = determinant(m)
+    s = bracket_sign(parse_braid("s1^2"), det)
+    assert (LaurentPoly1.term(s, 0) * det).terms == {4: -1, -4: -1}
 
 
 def test_parity_rule_holds_on_family_sample():
@@ -76,7 +76,7 @@ def test_parity_rule_holds_on_family_sample():
         g = overlay_of(text)
         comp_of_edge = {}
         sizes = {}
-        for ci, (cids, fids, eids) in enumerate(components(g)):
+        for ci, (cids, fids, eids) in enumerate(overlay_components(g)):
             sizes[ci] = len(cids) + len(fids)
             for idx in eids:
                 comp_of_edge[idx] = ci
@@ -90,7 +90,7 @@ def test_parity_rule_holds_on_family_sample():
 def test_parity_rule_holds_on_random_family_words(word):
     g = prepare_overlay(word)
     # the solve takes every face, so every component must be balanced
-    for cids, fids, _ in components(g):
+    for cids, fids, _ in overlay_components(g):
         assert len(cids) == len(fids)
     for walk in embedding_faces(g):
         assert negative_count(g, walk) % 2 == (len(walk) // 2 + 1) % 2
@@ -98,7 +98,7 @@ def test_parity_rule_holds_on_random_family_words(word):
 
 def euler_characteristics(g) -> list[int]:
     """V - E + F of each overlay component, F its boundary walks."""
-    parts = components(g)
+    parts = overlay_components(g)
     part_of_edge = {idx: k for k, (_, _, eids) in enumerate(parts) for idx in eids}
     walks = [0] * len(parts)
     for walk in embedding_faces(g):
@@ -151,7 +151,7 @@ def test_trefoil_matrix_shape_and_pattern():
 def test_trefoil_sign_fixed_symbolic_determinant():
     g = overlay_of("s1^3")
     m = adjacency_matrix(g)
-    s = fix_sign(m)
+    s = bracket_sign(parse_braid("s1^3"), determinant(m))
     det = {key: s * coeff for key, coeff in symbolic_determinant(m).items()}
     assert det == {
         ActivityWord("LLd").key(): 1,
@@ -409,9 +409,8 @@ def test_bracket_via_det_equals_connected_sum_product_at_scale(word):
     assert bracket_via_det(word) == expected
 
 
-def test_fix_sign_without_matching_is_plus_one():
+def test_determinant_without_matching_is_zero():
     empty = ModifiedAdjacencyMatrix((1,), (0,), ({},))
-    assert fix_sign(empty) == 1
     assert determinant(empty).is_zero
 
 
@@ -419,9 +418,9 @@ def test_fix_sign_without_matching_is_plus_one():
 @given(family_words())
 def test_sign_fixed_determinant_equals_partition_function(word):
     g = prepare_overlay(word)
-    m = adjacency_matrix(g)
-    s = fix_sign(m)
-    assert LaurentPoly1.term(s, 0) * determinant(m) == partition_function(g)
+    det = determinant(adjacency_matrix(g))
+    s = bracket_sign(word, det)
+    assert LaurentPoly1.term(s, 0) * det == partition_function(g)
 
 
 @settings(deadline=None, max_examples=40)
@@ -481,7 +480,7 @@ def test_wide_word_needs_no_big_division():
     m = adjacency_matrix(prepare_overlay(word))
     ops = OpCounter()
     det = determinant(m, ops)
-    assert (det if fix_sign(m) > 0 else -det) == torus_bracket(10) ** 100
+    assert (det if bracket_sign(word, det) > 0 else -det) == torus_bracket(10) ** 100
     assert ops.divs == 0
 
 
@@ -508,18 +507,16 @@ def test_family_words_never_reach_the_bareiss_rest(monkeypatch):
         assert bracket_via_det(word) == expected
 
 
-def test_det_path_computes_no_components(monkeypatch):
-    calls = []
+def test_bracket_via_det_checks_the_determinant_at_one(monkeypatch):
+    # a determinant twice the right size is caught by its value at A = 1,
+    # which must be +-2^(mu - 1)
+    def doubled(m):
+        return LaurentPoly1.term(2, 0) * determinant(m)
 
-    def counted(g):
-        calls.append(g)
-        return components(g)
-
-    monkeypatch.setattr(overlay, "components", counted)
-    monkeypatch.setattr(dimer, "components", counted, raising=False)
-    word = parse_braid("s1^2 s2^3 s3 s4^2")
-    assert bracket_via_det(word) == bracket_state_sum(build_diagram(word))
-    assert calls == []
+    monkeypatch.setattr(dimer, "determinant", doubled)
+    for text in ("s1", "s1^3", "s1^2 s2^3", "s1^-4 s2^-2 s3^-5", "s1 s2 s3"):
+        with pytest.raises(DeterminantCheckFailed, match="at A = 1"):
+            bracket_via_det(parse_braid(text))
 
 
 def test_bracket_via_det_takes_one_whole_matrix_per_word(monkeypatch):
@@ -593,25 +590,3 @@ def test_solve_gf2_matches_variable_scan(system):
             _solve_gf2(equations)
     else:
         assert _solve_gf2(equations) == expected
-
-
-@settings(deadline=None, max_examples=150)
-@given(
-    st.integers(1, 6).flatmap(
-        lambda n: st.lists(st.sets(st.integers(0, n - 1)), min_size=n, max_size=n)
-    )
-)
-def test_maximum_matching_finds_a_perfect_matching_when_one_exists(pattern):
-    n = len(pattern)
-    sparse = tuple({j: (1, "L") for j in sorted(row)} for row in pattern)
-    m = ModifiedAdjacencyMatrix(tuple(range(n)), tuple(range(n)), sparse)
-    exists = any(
-        all(p[i] in pattern[i] for i in range(n)) for p in itertools.permutations(range(n))
-    )
-    matching = _maximum_matching(m)
-    if not exists:
-        assert matching is None
-    else:
-        assert sorted(matching) == list(range(n))
-        assert sorted(matching.values()) == list(range(n))
-        assert all(j in pattern[i] for i, j in matching.items())

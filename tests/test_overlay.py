@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from braidpoly.activity import ActivityWord
 from braidpoly.braid import BraidWord, parse_braid
 from braidpoly.diagram import build_diagram
-from braidpoly.dimer import adjacency_matrix, fix_sign, prepare_overlay
+from braidpoly.dimer import adjacency_matrix, bracket_sign, determinant, prepare_overlay
 from braidpoly.errors import TooManyCrossings, UnsupportedWord
 from braidpoly.laurent import LaurentPoly1
 from braidpoly.oracle import bracket_state_sum
@@ -16,7 +16,6 @@ from braidpoly.overlay import (
     OverlayEdge,
     OverlayGraph,
     build_overlay,
-    components,
     matching_word,
     overlay_activity_letters,
     overlay_to_dot,
@@ -24,6 +23,7 @@ from braidpoly.overlay import (
     perfect_matchings,
 )
 from braidpoly.tait import build_tait, spanning_trees, tree_activity_word
+from overlay_parts import overlay_components
 from words import corpus_words, family_words
 
 
@@ -130,7 +130,7 @@ def test_matching_words_match_tree_words():
 
 def test_two_column_word_splits_into_components():
     g = overlay_of("s1^2 s2^2")
-    comps = components(g)
+    comps = overlay_components(g)
     assert len(comps) == 2
     for cids, fids, eids in comps:
         assert len(cids) == 2
@@ -144,7 +144,7 @@ def test_component_product_identity():
 
     g = overlay_of("s1^2 s2^3")
     product = LaurentPoly1.one()
-    for cids, fids, eids in components(g):
+    for cids, fids, eids in overlay_components(g):
         part = LaurentPoly1.zero()
         for m in _component_matchings([g.edges[i] for i in eids], cids):
             word = ActivityWord([e.letter for e in m])
@@ -170,7 +170,7 @@ def test_kink_pair_word():
     # the closure of s1 s2 is an unknot with two kinks; its overlay is
     # two single-edge components whose letters multiply to A^6
     g = overlay_of("s1 s2")
-    assert len(components(g)) == 2
+    assert len(overlay_components(g)) == 2
     assert partition_function(g) == LaurentPoly1({6: 1})
 
 
@@ -252,14 +252,16 @@ def test_signed_overlays_are_pinned():
         digest.update(repr((g.crossing_rotation, g.face_rotation)).encode())
         digest.update(overlay_to_dot(g).encode())
     assert digest.hexdigest() == SIGNED_OVERLAYS_SHA256
-    # and at the benchmark's sizes, with the letter matrix and its sign fix
+    # and at the benchmark's sizes, with the letter matrix and the sign
+    # that makes its determinant the bracket
     digest = hashlib.sha256()
     for word in pinned_large_words():
         g = prepare_overlay(word)
         m = adjacency_matrix(g)
         digest.update(repr((g.crossing_rotation, g.face_rotation)).encode())
         digest.update(overlay_to_dot(g).encode())
-        digest.update(f"{m.to_text(symbolic=True)}\n{fix_sign(m)}\n".encode())
+        sign = bracket_sign(word, determinant(m))
+        digest.update(f"{m.to_text(symbolic=True)}\n{sign}\n".encode())
     assert digest.hexdigest() == LARGE_SIGNED_OVERLAYS_SHA256
 
 

@@ -1,3 +1,6 @@
+import time
+from itertools import combinations
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,6 +12,8 @@ from braidpoly.errors import TooManyCrossings
 from braidpoly.laurent import LaurentPoly1
 from braidpoly.oracle import bracket_state_sum, jones_state_sum, writhe_correction
 from braidpoly.tait import (
+    TaitEdge,
+    TaitGraph,
     build_tait,
     dual_tait,
     spanning_trees,
@@ -110,6 +115,63 @@ def test_tree_cap():
         spanning_trees(g, max_edges=2)
     with pytest.raises(TooManyCrossings):
         thistlethwaite_sum(g, max_edges=2)
+
+
+def trees_by_brute_force(g) -> list[frozenset]:
+    """Every (|V| - 1)-edge subset that is a tree, in lexicographic order."""
+    index = {v: i for i, v in enumerate(g.vertices)}
+    out = []
+    for subset in combinations(range(len(g.edges)), len(g.vertices) - 1):
+        root = list(range(len(g.vertices)))
+
+        def find(x):
+            while root[x] != x:
+                x = root[x]
+            return x
+
+        for pos in subset:
+            u, v = (find(index[x]) for x in g.edges[pos].endpoints)
+            if u == v:
+                break
+            root[u] = v
+        else:
+            out.append(frozenset(subset))
+    return out
+
+
+def assert_stream_matches_brute_force(g):
+    # the stream takes each edge before leaving it out, so its trees come
+    # in the lexicographic order of their sorted edge positions
+    assert list(spanning_trees(g)) == trees_by_brute_force(g)
+
+
+@settings(max_examples=60, deadline=None)
+@given(connected_words())
+def test_tree_stream_matches_brute_force_in_order(word):
+    d = build_diagram(word)
+    assert_stream_matches_brute_force(build_tait(d))
+    assert_stream_matches_brute_force(dual_tait(d))
+
+
+def test_tree_stream_matches_brute_force_on_fixed_graphs():
+    for text in ("s1", "s1^6", "s1^3 s2^-2 s1 s3^2 s2^-1", "s1^-4 s2^-3 s3^-5", "s1 s2 s3 s4"):
+        d = build_diagram(parse_braid(text))
+        assert_stream_matches_brute_force(build_tait(d))
+        assert_stream_matches_brute_force(dual_tait(d))
+    # a disconnected graph has no tree, and a lone vertex one empty tree
+    apart = TaitGraph((0, 1, 2), (TaitEdge(1, (0, 1), 1), TaitEdge(2, (1, 1), -1)))
+    assert list(spanning_trees(apart)) == trees_by_brute_force(apart) == []
+    lone = TaitGraph((0,), (TaitEdge(1, (0, 0), 1),))
+    assert list(spanning_trees(lone)) == trees_by_brute_force(lone) == [frozenset()]
+
+
+def test_tree_stream_costs_what_it_lists():
+    # leaving out an edge that the rest cannot replace once made this
+    # stream take about 12 s here
+    g, _ = tait_of("s1^18 s2^18")
+    start = time.perf_counter()
+    assert sum(1 for _ in spanning_trees(g, max_edges=36)) == 324
+    assert time.perf_counter() - start < 0.5
 
 
 def test_dual_of_trefoil():

@@ -9,10 +9,10 @@ det-large stream for seed 3, read from perfbench/workloads.py, which is
 only imported.  Each stage of ``jones_via_det`` is called on its own,
 in the order the det path calls it, and timed with ``perf_counter``:
 parse, close, checkerboard, overlay, letters, signs, matrix,
-determinant, fix_sign and writhe.  One untimed pass first checks every
+determinant, sign and writhe.  One untimed pass first checks every
 word's assembled answer against ``jones_via_det``.  A round times every
 word once; each stage's figure is its median over ``--rounds`` rounds
-(10 by default).  "front" sums close through fix_sign, the determinant
+(10 by default).  "front" sums close through sign, the determinant
 left out.
 
 Without ``--parent`` every round runs in this process, on this
@@ -37,10 +37,10 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 STAGES = (
     "parse", "close", "checkerboard", "overlay", "letters",
-    "signs", "matrix", "determinant", "fix_sign", "writhe",
+    "signs", "matrix", "determinant", "sign", "writhe",
 )
 SEED = 3
-FRONT = ("close", "checkerboard", "overlay", "letters", "signs", "matrix", "fix_sign")
+FRONT = ("close", "checkerboard", "overlay", "letters", "signs", "matrix", "sign")
 
 
 def _load(name: str, path: Path):
@@ -58,13 +58,15 @@ def det_words(count: int) -> list[str]:
 def time_rounds(src: Path, texts: list[str], rounds: int) -> list[dict[str, float]]:
     """Per round, each stage's seconds summed over ``texts``."""
     sys.path.insert(0, str(src))
+    from braidpoly import dimer
     from braidpoly.braid import parse_braid
     from braidpoly.diagram import checkerboard, close_braid
-    from braidpoly.dimer import (
-        adjacency_matrix, determinant, fix_sign, jones_via_det, kasteleyn_sign,
-    )
+    from braidpoly.dimer import adjacency_matrix, determinant, jones_via_det, kasteleyn_sign
     from braidpoly.oracle import writhe_correction
     from braidpoly.overlay import build_overlay, overlay_activity_letters
+
+    # a --parent tree from before bracket_sign reads its sign off a matching
+    fix_sign = getattr(dimer, "fix_sign", None)
 
     def split(text: str, spent: dict[str, float] | None):
         clock = time.perf_counter
@@ -85,7 +87,7 @@ def time_rounds(src: Path, texts: list[str], rounds: int) -> list[dict[str, floa
         t7 = clock()
         det = determinant(m)
         t8 = clock()
-        sign = fix_sign(m)
+        sign = fix_sign(m) if fix_sign else dimer.bracket_sign(word, det)
         t9 = clock()
         jones = writhe_correction(word.writhe) * (det if sign > 0 else -det)
         t10 = clock()
@@ -157,8 +159,8 @@ def main() -> int:
         return 0
     bench_pairs = _load("bench_pairs", ROOT / "tools" / "bench_pairs.py")
     with tempfile.TemporaryDirectory() as tmp:
-        bench_pairs.export_tree(args.parent, Path(tmp))
-        srcs = {"parent": Path(tmp) / "tree" / "src", "change": ROOT / "src"}
+        bench_pairs.export_commit(ROOT, args.parent, Path(tmp))
+        srcs = {"parent": Path(tmp) / "src", "change": ROOT / "src"}
         rounds: dict[str, list] = {"parent": [], "change": []}
         for k in range(args.rounds):
             for side in ("parent", "change") if k % 2 == 0 else ("change", "parent"):
