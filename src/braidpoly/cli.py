@@ -10,18 +10,23 @@ Exit codes are part of the contract so runs can be scripted:
 
 Output on stdout is byte-identical across repeated invocations;
 diagnostics go to stderr.
+
+A process loads only what its command runs.  Every command loads
+``braid`` (words and caps) and ``kauffman`` with its ring, which is all
+``kauffman`` needs.  The braid commands import the rest where they use
+it: ``dimer`` (with ``diagram``, ``overlay`` and ``oracle``) for the
+det and matchings methods, ``matrix`` and ``graph --kind overlay``;
+``oracle`` for ``statesum``; ``tait`` for ``trees`` and the Tait graphs;
+all of them for ``verify``; ``json`` for JSON output only.
 """
 
 from __future__ import annotations
 
 import argparse
 import itertools
-import json
 import sys
 
-from .braid import BraidWord, parse_braid
-from .diagram import build_diagram
-from .dimer import MAX_DET_CROSSINGS, adjacency_matrix, bracket_via_det, prepare_overlay
+from .braid import DEFAULT_CROSSING_CAP, MAX_DET_CROSSINGS, BraidWord, parse_braid
 from .errors import (
     BraidSyntaxError,
     DisconnectedLink,
@@ -33,9 +38,6 @@ from .errors import (
     ZeroExponent,
 )
 from .kauffman import F2q, K2Q_METHODS, K2q
-from .oracle import DEFAULT_CROSSING_CAP, bracket_state_sum, writhe_correction
-from .overlay import overlay_to_dot, partition_function, perfect_matchings
-from .tait import build_tait, dual_tait, spanning_trees, tait_to_dot, thistlethwaite_sum
 
 __all__ = ["run", "build_parser"]
 
@@ -107,6 +109,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _print_json(payload, file=None) -> None:
+    import json
+    print(json.dumps(payload, indent=2), file=file)
+
+
 def _load_word(args) -> BraidWord:
     word = parse_braid(args.braid, args.strands)
     # no method reaches further than the determinant, so its cap bounds every command
@@ -115,8 +122,8 @@ def _load_word(args) -> BraidWord:
             f"{word.crossing_count} crossings exceeds the determinant cap {MAX_DET_CROSSINGS}"
         )
     if args.debug_diagram:
-        diagram = build_diagram(word)
-        print(json.dumps(diagram.to_debug_json(), indent=2), file=sys.stderr)
+        from .diagram import build_diagram
+        _print_json(build_diagram(word).to_debug_json(), file=sys.stderr)
     return word
 
 
@@ -127,18 +134,25 @@ def _check_cap(word: BraidWord, method: str, cap: int) -> None:
 
 def _bracket(word: BraidWord, method: str, cap: int):
     if method == "det":
+        from .dimer import bracket_via_det
         return bracket_via_det(word)
     _check_cap(word, method, cap)
-    if method == "statesum":
-        return bracket_state_sum(build_diagram(word), max_crossings=cap)
     if method == "matchings":
+        from .dimer import prepare_overlay
+        from .overlay import partition_function
         return partition_function(prepare_overlay(word), max_crossings=cap)
+    from .diagram import build_diagram
+    if method == "statesum":
+        from .oracle import bracket_state_sum, check_state_sum
+        check_state_sum(word.crossing_count, cap)
+        return bracket_state_sum(build_diagram(word), max_crossings=cap)
+    from .tait import build_tait, thistlethwaite_sum
     return thistlethwaite_sum(build_tait(build_diagram(word)), max_edges=cap)
 
 
 def _emit_poly(poly, fmt: str) -> int:
     if fmt == "json":
-        print(json.dumps(poly.to_json(), indent=2))
+        _print_json(poly.to_json())
     else:
         print(poly.to_text())
     return 0
@@ -148,6 +162,7 @@ def _cmd_polynomial(args) -> int:
     word = _load_word(args)
     value = _bracket(word, args.method, args.max_crossings)
     if args.command == "jones":
+        from .oracle import writhe_correction
         value = writhe_correction(word.writhe) * value
     return _emit_poly(value, args.format)
 
@@ -159,9 +174,10 @@ def _cmd_kauffman(args) -> int:
 
 def _cmd_matrix(args) -> int:
     word = _load_word(args)
+    from .dimer import adjacency_matrix, prepare_overlay
     m = adjacency_matrix(prepare_overlay(word))
     if args.format == "json":
-        print(json.dumps(m.to_json(args.symbolic), indent=2))
+        _print_json(m.to_json(args.symbolic))
     else:
         print(m.to_text(args.symbolic))
     return 0
@@ -170,6 +186,8 @@ def _cmd_matrix(args) -> int:
 def _cmd_graph(args) -> int:
     word = _load_word(args)
     if args.kind == "overlay":
+        from .dimer import prepare_overlay
+        from .overlay import overlay_to_dot
         g = prepare_overlay(word)
         if args.format == "json":
             payload = {
@@ -186,10 +204,12 @@ def _cmd_graph(args) -> int:
                     for e in g.edges
                 ],
             }
-            print(json.dumps(payload, indent=2))
+            _print_json(payload)
         else:
             print(overlay_to_dot(g))
         return 0
+    from .diagram import build_diagram
+    from .tait import build_tait, dual_tait, tait_to_dot
     diagram = build_diagram(word)
     g = dual_tait(diagram) if args.kind == "dual" else build_tait(diagram)
     if args.format == "json":
@@ -204,7 +224,7 @@ def _cmd_graph(args) -> int:
                 for e in g.edges
             ],
         }
-        print(json.dumps(payload, indent=2))
+        _print_json(payload)
     else:
         print(tait_to_dot(g))
     return 0
@@ -212,8 +232,14 @@ def _cmd_graph(args) -> int:
 
 def _verify_word(word: BraidWord, cap: int, label: str | None = None) -> bool:
     """Every method on one word; the enumerations share one diagram and one overlay."""
+    from .diagram import build_diagram
+    from .dimer import bracket_via_det, prepare_overlay
+    from .oracle import bracket_state_sum, check_state_sum, writhe_correction
+    from .overlay import partition_function, perfect_matchings
+    from .tait import build_tait, spanning_trees, thistlethwaite_sum
     det = bracket_via_det(word)
     _check_cap(word, "matchings", cap)
+    check_state_sum(word.crossing_count, cap)
     overlay = prepare_overlay(word)
     diagram = build_diagram(word)
     tait = build_tait(diagram)

@@ -32,8 +32,6 @@ a positive torus braid closure comes out +1 under this rule.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .braid import BraidWord
 from .errors import ColoringContradiction, DisconnectedLink
 
@@ -58,37 +56,43 @@ def dart(crossing_id: int, slot: int) -> Dart:
     return 4 * (crossing_id - 1) + slot
 
 
-@dataclass(slots=True)
 class Crossing:
     """One crossing, identified by its 1-based position in the word."""
 
-    id: int
-    generator_index: int
-    oriented_sign: int
-    checkerboard_sign: int | None = None
+    __slots__ = ("id", "generator_index", "oriented_sign", "checkerboard_sign")
+
+    def __init__(self, id: int, generator_index: int, oriented_sign: int):
+        self.id, self.generator_index, self.oriented_sign = id, generator_index, oriented_sign
+        self.checkerboard_sign: int | None = None
 
 
-@dataclass(slots=True)
 class Face:
     """A complementary region, as the cyclic list of its corner darts."""
 
-    id: int
-    corners: tuple[Dart, ...]
-    shaded: bool | None = None
-    is_outer: bool = False
+    __slots__ = ("id", "corners", "shaded", "is_outer")
+
+    def __init__(self, id: int, corners: tuple[Dart, ...], is_outer: bool = False):
+        self.id, self.corners, self.is_outer = id, corners, is_outer
+        self.shaded: bool | None = None
 
 
-@dataclass
 class LinkDiagram:
-    word: BraidWord
-    crossings: tuple[Crossing, ...]
-    theta: list[Dart]
-    faces: list[Face] = field(default_factory=list)
-    face_index: list[int] = field(default_factory=list)
-    # bottom and top dart of strand position 2's closure arc; () on one strand
-    closure_darts: tuple[Dart, ...] = ()
-    outer_face: int = -1
-    free_loops: int = 0
+    """Crossings, the arc involution ``theta`` and the faces it traces."""
+
+    __slots__ = ("word", "crossings", "theta", "faces", "face_index", "closure_darts",
+                 "outer_face", "free_loops")
+
+    def __init__(
+        self, word: BraidWord, crossings: tuple[Crossing, ...], theta: list[Dart],
+        closure_darts: tuple[Dart, ...] = (), free_loops: int = 0,
+    ):
+        self.word, self.crossings, self.theta = word, crossings, theta
+        self.faces: list[Face] = []
+        self.face_index: list[int] = []
+        # bottom and top dart of strand position 2's closure arc; () on one strand
+        self.closure_darts = closure_darts
+        self.outer_face = -1
+        self.free_loops = free_loops
 
     @property
     def crossing_count(self) -> int:

@@ -37,7 +37,6 @@ from __future__ import annotations
 
 from collections import Counter
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 
 from .activity import ActivityWord
@@ -50,7 +49,6 @@ from .oracle import writhe_correction
 from .overlay import OverlayGraph, build_overlay, overlay_activity_letters
 
 __all__ = [
-    "MAX_DET_CROSSINGS",
     "OpCounter",
     "ModifiedAdjacencyMatrix",
     "embedding_faces",
@@ -66,15 +64,6 @@ __all__ = [
 ]
 
 
-# The CLI refuses longer words for every braid command, since no method
-# reaches further.  In process on a 2-core Xeon VM with Python 3.11,
-# jones_via_det takes at most 0.07 s on each of s1 s2^999 and the wide
-# words s1^50 ... s20^50, s1^25 ... s40^25 and s1^10 ... s100^10 (medians
-# of 9 runs: 35, 44, 45 and 52 ms).
-MAX_DET_CROSSINGS = 1000
-
-
-@dataclass
 class OpCounter:
     """Tally of ring operations performed by the elimination.
 
@@ -84,9 +73,10 @@ class OpCounter:
     word reaches.
     """
 
-    muls: int = 0
-    adds: int = 0
-    divs: int = 0
+    __slots__ = ("muls", "adds", "divs")
+
+    def __init__(self):
+        self.muls = self.adds = self.divs = 0
 
     @property
     def total(self) -> int:
@@ -107,7 +97,6 @@ def _letter_text(cell: tuple[int, str] | None) -> str:
     return letter if sign > 0 else f"-{letter}"
 
 
-@dataclass(frozen=True)
 class ModifiedAdjacencyMatrix:
     """Rows follow crossing order, columns the overlay's face order.
 
@@ -117,9 +106,12 @@ class ModifiedAdjacencyMatrix:
     its signed bracket image, and the renderers show either form.
     """
 
-    rows: tuple[int, ...]
-    cols: tuple[int, ...]
-    sparse: tuple[dict[int, tuple[int, str]], ...]
+    __slots__ = ("rows", "cols", "sparse")
+
+    def __init__(
+        self, rows: tuple[int, ...], cols: tuple[int, ...], sparse: tuple[dict[int, tuple], ...]
+    ):
+        self.rows, self.cols, self.sparse = rows, cols, sparse
 
     @property
     def entries(self) -> tuple[tuple, ...]:

@@ -20,28 +20,36 @@ under-strand, not to the page.
 
 from __future__ import annotations
 
-from .braid import BraidWord
+from .braid import DEFAULT_CROSSING_CAP, BraidWord
 from .diagram import LinkDiagram, build_diagram
 from .errors import TooLarge, TooManyCrossings
 from .laurent import LaurentPoly1
 
 __all__ = [
-    "DEFAULT_CROSSING_CAP",
     "bracket_state_sum",
+    "check_state_sum",
     "jones_state_sum",
     "writhe_correction",
     "cofactor_det",
 ]
 
-DEFAULT_CROSSING_CAP = 24
-
 _LOOP_FACTOR = LaurentPoly1({2: -1, -2: -1})
 
 
-def _check_cap(crossings: int, max_crossings: int) -> None:
+def check_state_sum(crossings: int, max_crossings: int = DEFAULT_CROSSING_CAP) -> None:
+    """Refuse a state sum past ``max_crossings`` or past the default cap.
+
+    The work is exactly 2^c states, known before any starts: a caller's
+    cap may lower the limit, but never lift it past 2^DEFAULT_CROSSING_CAP.
+    """
     if crossings > max_crossings:
         raise TooManyCrossings(
             f"{crossings} crossings exceeds the state-sum cap {max_crossings}"
+        )
+    if crossings > DEFAULT_CROSSING_CAP:
+        raise TooManyCrossings(
+            f"{crossings} crossings means 2^{crossings} states, past the state-sum"
+            f" ceiling of 2^{DEFAULT_CROSSING_CAP}"
         )
 
 
@@ -59,7 +67,7 @@ def bracket_state_sum(d: LinkDiagram, max_crossings: int = DEFAULT_CROSSING_CAP)
     polynomial is built from those counts at the end.
     """
     crossings = d.crossing_count
-    _check_cap(crossings, max_crossings)
+    check_state_sum(crossings, max_crossings)
     theta = d.theta
     n_darts = 4 * crossings
     smooth = [dart ^ 1 for dart in range(n_darts)]  # every crossing B-smoothed
@@ -111,7 +119,7 @@ def jones_state_sum(w: BraidWord, max_crossings: int = DEFAULT_CROSSING_CAP) -> 
 
     The cap is checked on the word, before any diagram is built.
     """
-    _check_cap(w.crossing_count, max_crossings)
+    check_state_sum(w.crossing_count, max_crossings)
     d = build_diagram(w)
     return writhe_correction(w.writhe) * bracket_state_sum(d, max_crossings)
 

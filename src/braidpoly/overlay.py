@@ -33,14 +33,12 @@ the diagram.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .activity import ActivityWord, signed_letter
+from .braid import DEFAULT_CROSSING_CAP
 from .diagram import LinkDiagram
 from .errors import TooManyCrossings, UnbalancedGraph, UnsupportedWord
 from .kauffman import specialize_bracket
 from .laurent import LaurentPoly1
-from .oracle import DEFAULT_CROSSING_CAP
 
 __all__ = [
     "OverlayEdge",
@@ -56,23 +54,26 @@ __all__ = [
 Matching = frozenset
 
 
-@dataclass(slots=True)
 class OverlayEdge:
-    crossing_id: int
-    face_id: int
-    letter: str | None = None
-    kasteleyn_sign: int = 1
+    __slots__ = ("crossing_id", "face_id", "letter", "kasteleyn_sign")
+
+    def __init__(self, crossing_id: int, face_id: int, letter: str | None = None):
+        self.crossing_id, self.face_id, self.letter = crossing_id, face_id, letter
+        self.kasteleyn_sign = 1
 
 
-@dataclass
 class OverlayGraph:
-    crossings: tuple[int, ...]
-    faces: tuple[int, ...]
-    shaded: frozenset[int]
-    edges: tuple[OverlayEdge, ...]
-    crossing_rotation: dict[int, tuple[int, ...]]
-    face_rotation: dict[int, tuple[int, ...]]
-    crossing_signs: dict[int, int]
+    __slots__ = ("crossings", "faces", "shaded", "edges", "crossing_rotation", "face_rotation",
+                 "crossing_signs")
+
+    def __init__(
+        self, crossings: tuple[int, ...], faces: tuple[int, ...], shaded: frozenset[int],
+        edges: tuple[OverlayEdge, ...], crossing_rotation: dict[int, tuple[int, ...]],
+        face_rotation: dict[int, tuple[int, ...]], crossing_signs: dict[int, int],
+    ):
+        self.crossings, self.faces, self.shaded, self.edges = crossings, faces, shaded, edges
+        self.crossing_rotation, self.face_rotation = crossing_rotation, face_rotation
+        self.crossing_signs = crossing_signs
 
 
 def build_overlay(d: LinkDiagram) -> OverlayGraph:

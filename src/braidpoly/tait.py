@@ -18,15 +18,14 @@ edge order even though individual words are not.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator
 
 from .activity import ActivityWord, signed_letter
+from .braid import DEFAULT_CROSSING_CAP
 from .diagram import LinkDiagram, dart
 from .errors import TooManyCrossings
 from .kauffman import specialize_bracket
 from .laurent import LaurentPoly1
-from .oracle import DEFAULT_CROSSING_CAP
 
 __all__ = [
     "TaitEdge",
@@ -42,17 +41,18 @@ __all__ = [
 SpanningTree = frozenset
 
 
-@dataclass(frozen=True)
 class TaitEdge:
-    crossing_id: int
-    endpoints: tuple[int, int]
-    sign: int
+    __slots__ = ("crossing_id", "endpoints", "sign")
+
+    def __init__(self, crossing_id: int, endpoints: tuple[int, int], sign: int):
+        self.crossing_id, self.endpoints, self.sign = crossing_id, endpoints, sign
 
 
-@dataclass(frozen=True)
 class TaitGraph:
-    vertices: tuple[int, ...]
-    edges: tuple[TaitEdge, ...]
+    __slots__ = ("vertices", "edges")
+
+    def __init__(self, vertices: tuple[int, ...], edges: tuple[TaitEdge, ...]):
+        self.vertices, self.edges = vertices, edges
 
     def reordered(self, order: list[int]) -> "TaitGraph":
         """Same graph with edges permuted; activity words may change."""

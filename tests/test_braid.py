@@ -102,6 +102,21 @@ def test_writhe_additive_under_concatenation(u, v):
     assert joined.writhe == u.writhe + v.writhe
 
 
+def test_words_are_immutable_and_compare_by_value():
+    w = parse_braid("s1^2 s2^-1")
+    same = BraidWord(3, [(1, 2), (2, -1)])
+    assert w == same and hash(w) == hash(same)
+    assert len({w, same, parse_braid("s1^2 s2")}) == 2
+    assert w != parse_braid("s1^2 s2^-1", strands=4)
+    assert w != ((1, 2), (2, -1))
+    for name in ("strands", "syllables", "other"):
+        with pytest.raises(AttributeError):
+            setattr(w, name, 5)
+        with pytest.raises(AttributeError):
+            delattr(w, name)
+    assert (w.strands, w.syllables) == (3, ((1, 2), (2, -1)))
+
+
 def test_family_check_does_not_grow_with_strands():
     assert not BraidWord(10**12, ((1, 1),)).is_homogeneous_family()
     assert BraidWord(3, ((1, 2), (2, 5))).is_homogeneous_family()

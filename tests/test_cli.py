@@ -8,14 +8,14 @@ import jsonschema
 import pytest
 
 import braidpoly
-from braidpoly import cli, dimer
+from braidpoly import diagram, dimer, oracle
+from braidpoly.braid import DEFAULT_CROSSING_CAP, MAX_DET_CROSSINGS
 from braidpoly.cli import run
 from braidpoly.diagram import build_diagram
-from braidpoly.dimer import MAX_DET_CROSSINGS
 from braidpoly.kauffman import F2q
 from braidpoly.laurent import LAURENT1_JSON_SCHEMA, LAURENT2_JSON_SCHEMA, LaurentPoly1
 
-from cli_child import child_env, run_child
+from cli_child import child_env, cli_modules, modules_after, run_child
 
 TREFOIL = "A^-4 + A^-12 - A^-16"
 
@@ -75,6 +75,18 @@ def test_parallel_flag_is_a_usage_error(capsys):
         assert out == ""
         assert err.startswith("usage: braidpoly")
         assert "unrecognized arguments: --parallel" in err
+
+
+@pytest.mark.parametrize("command", ["jones", "bracket", "kauffman", "matrix", "graph", "verify"])
+def test_every_subcommand_help_exits_0_and_shows_its_cap_default(capsys, command):
+    code, out, _ = invoke(capsys, command, "--help")
+    assert code == 0
+    assert out.startswith(f"usage: braidpoly {command}")
+    capped = command in ("jones", "bracket", "verify")
+    assert (f"(default {DEFAULT_CROSSING_CAP})" in out) == capped
+    code, out, err = invoke(capsys, command, "--no-such-flag")
+    assert (code, out) == (1, "")
+    assert err.startswith("usage: braidpoly")
 
 
 def test_caps_exit_3(capsys):
@@ -189,7 +201,7 @@ def test_graph_builds_one_diagram_per_kind(capsys, monkeypatch):
         calls.append(word)
         return build_diagram(word)
 
-    monkeypatch.setattr(cli, "build_diagram", counted)
+    monkeypatch.setattr(diagram, "build_diagram", counted)
     monkeypatch.setattr(dimer, "build_diagram", counted)
     for kind in ("overlay", "tait", "dual"):
         calls.clear()
@@ -204,7 +216,7 @@ def test_verify_shares_one_diagram_and_one_overlay(capsys, monkeypatch):
         calls.append(word)
         return build_diagram(word)
 
-    monkeypatch.setattr(cli, "build_diagram", counted)
+    monkeypatch.setattr(diagram, "build_diagram", counted)
     monkeypatch.setattr(dimer, "build_diagram", counted)
     code, out, _ = invoke(capsys, "verify", "--braid", "s1^2 s2^3")
     # the determinant, the overlay of both matchings counts, the diagram of the other three
@@ -272,18 +284,37 @@ def test_console_script_entry_point():
 def test_cli_loads_no_rational_arithmetic_and_every_export_resolves():
     # nothing evaluates a polynomial at a number, so a CLI process should
     # not pay for importing rational or decimal arithmetic
-    probe = "import sys, braidpoly.cli; print(sorted({'fractions', 'decimal'} & set(sys.modules)))"
-    result = subprocess.run(
-        [sys.executable, "-c", probe], capture_output=True, text=True, env=child_env()
-    )
+    result, loaded = modules_after("import braidpoly.cli")
     assert result.returncode == 0, result.stderr
-    assert result.stdout == "[]\n"
+    assert {"fractions", "decimal"} & loaded == set()
+    # a process loads only what its command runs
+    result, loaded = cli_modules("jones", "--braid", "s1^3")
+    assert (result.returncode, result.stdout) == (0, TREFOIL + "\n")
+    assert {"dataclasses", "inspect", "json", "braidpoly.tait"} & loaded == set()
+    result, loaded = cli_modules("kauffman", "--q", "5")
+    assert result.returncode == 0, result.stderr
+    enumeration = {"diagram", "overlay", "dimer", "tait", "oracle"}
+    assert {f"braidpoly.{name}" for name in enumeration} & loaded == set()
+    result, loaded = modules_after("import braidpoly")
+    assert result.returncode == 0, result.stderr
+    assert "braidpoly.kauffman" in loaded
+    assert "braidpoly.dimer" not in loaded
     # a name left in __all__ after its definition is gone breaks `import *`
     for info in pkgutil.iter_modules(braidpoly.__path__, "braidpoly."):
         module = importlib.import_module(info.name)
         missing = [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
         assert missing == [], info.name
     assert [name for name in braidpoly.__all__ if not hasattr(braidpoly, name)] == []
+
+
+def test_package_names_resolve_on_first_use():
+    namespace = {}
+    exec("from braidpoly import *", namespace)
+    assert set(braidpoly.__all__) <= set(namespace)
+    assert namespace["jones_via_det"] is dimer.jones_via_det
+    assert set(braidpoly.__all__) <= set(dir(braidpoly))
+    with pytest.raises(AttributeError, match="no_such_name"):
+        braidpoly.no_such_name
 
 
 @pytest.mark.parametrize(
@@ -310,9 +341,23 @@ def test_oversized_inputs_are_refused_quickly(argv, code):
     assert "error" in result.stderr
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("jones", "--braid", "s1^30", "--method", "statesum", "--max-crossings", "100"),
+        ("verify", "--braid", "s1^60", "--max-crossings", "100"),
+    ],
+)
+def test_a_raised_cap_leaves_the_state_sum_bounded(argv):
+    # 2^c states: no cap lifts the state sum past the default's crossings
+    result = run_child(*argv, timeout=5)
+    assert (result.returncode, result.stdout) == (3, "")
+    assert f"past the state-sum ceiling of 2^{DEFAULT_CROSSING_CAP}" in result.stderr
+
+
 def test_det_cap_is_checked_on_the_syllables(capsys, monkeypatch):
     calls = []
-    monkeypatch.setattr(cli, "bracket_via_det", lambda word: calls.append(word) or LaurentPoly1.one())
+    monkeypatch.setattr(dimer, "bracket_via_det", lambda word: calls.append(word) or LaurentPoly1.one())
     code, _, _ = invoke(capsys, "jones", "--braid", f"s1^{MAX_DET_CROSSINGS}")
     assert code == 0
     assert len(calls) == 1
@@ -326,8 +371,12 @@ def test_enumeration_caps_are_checked_before_building(capsys, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a structure was built past the cap")
 
-    for name in ("build_diagram", "prepare_overlay", "bracket_state_sum"):
-        monkeypatch.setattr(cli, name, refuse)
+    for module, name in (
+        (diagram, "build_diagram"),
+        (dimer, "prepare_overlay"),
+        (oracle, "bracket_state_sum"),
+    ):
+        monkeypatch.setattr(module, name, refuse)
     for method in ("statesum", "trees", "matchings"):
         code, _, err = invoke(
             capsys, "jones", "--braid", "s1^30", "--method", method, "--max-crossings", "29"

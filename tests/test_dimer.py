@@ -462,6 +462,14 @@ def test_op_counter_growth_is_subquartic():
     assert 0 < slope < 4
 
 
+def test_op_counter_starts_at_zero_and_totals_its_counts():
+    # perfbench builds one per determinant, then reads and adds to each count
+    ops = OpCounter()
+    assert (ops.muls, ops.adds, ops.divs, ops.total) == (0, 0, 0, 0)
+    ops.muls, ops.adds, ops.divs = 3, 5, 7
+    assert ops.total == 15
+
+
 def test_unit_first_pivots_keep_divisions_few():
     # only a non-unit pivot makes a division; an elimination in Markowitz
     # order alone, with no preference for units, once took 148 here, and

@@ -1,5 +1,3 @@
-import dataclasses
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -39,7 +37,8 @@ def test_unknot_bracket():
 def test_free_loops_multiply_by_the_loop_factor():
     d = build_diagram(parse_braid("s1^3 s2^-2"))
     loop = LaurentPoly1({2: -1, -2: -1})
-    with_two_more = dataclasses.replace(d, free_loops=d.free_loops + 2)
+    with_two_more = build_diagram(parse_braid("s1^3 s2^-2"))
+    with_two_more.free_loops += 2
     assert bracket_state_sum(with_two_more) == bracket_state_sum(d) * loop * loop
 
 
@@ -78,6 +77,8 @@ def test_crossing_cap():
         jones_state_sum(word)
     with pytest.raises(TooManyCrossings):
         bracket_state_sum(build_diagram(word), max_crossings=24)
+    with pytest.raises(TooManyCrossings, match="2\\^25 states"):
+        bracket_state_sum(build_diagram(word), max_crossings=100)
 
 
 def test_jones_state_sum_checks_the_cap_before_building(monkeypatch):
@@ -92,6 +93,9 @@ def test_jones_state_sum_checks_the_cap_before_building(monkeypatch):
         jones_state_sum(word)
     with pytest.raises(TooManyCrossings, match="cap 9"):
         jones_state_sum(parse_braid("s1^10"), max_crossings=9)
+    # a raised cap never lifts the state sum past the default's 2^24 states
+    with pytest.raises(TooManyCrossings, match="ceiling of 2\\^24"):
+        jones_state_sum(word, max_crossings=100)
 
 
 @settings(max_examples=30, deadline=None)
