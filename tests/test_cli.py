@@ -8,7 +8,7 @@ import jsonschema
 import pytest
 
 import braidpoly
-from braidpoly import diagram, dimer, oracle
+from braidpoly import diagram, dimer, oracle, overlay, tait
 from braidpoly.braid import DEFAULT_CROSSING_CAP, MAX_DET_CROSSINGS
 from braidpoly.cli import run
 from braidpoly.diagram import build_diagram
@@ -307,7 +307,7 @@ def test_cli_loads_no_rational_arithmetic_and_every_export_resolves():
     assert [name for name in braidpoly.__all__ if not hasattr(braidpoly, name)] == []
 
 
-def test_package_names_resolve_on_first_use():
+def test_package_names_resolve_on_first_use(monkeypatch):
     namespace = {}
     exec("from braidpoly import *", namespace)
     assert set(braidpoly.__all__) <= set(namespace)
@@ -315,6 +315,12 @@ def test_package_names_resolve_on_first_use():
     assert set(braidpoly.__all__) <= set(dir(braidpoly))
     with pytest.raises(AttributeError, match="no_such_name"):
         braidpoly.no_such_name
+    # each read returns the module's current attribute, so a swapped-in
+    # wrapper is seen and, once restored, leaves nothing behind
+    monkeypatch.setattr(dimer, "jones_via_det", lambda word: None)
+    assert braidpoly.jones_via_det is dimer.jones_via_det
+    monkeypatch.undo()
+    assert braidpoly.jones_via_det is namespace["jones_via_det"]
 
 
 @pytest.mark.parametrize(
@@ -383,6 +389,19 @@ def test_enumeration_caps_are_checked_before_building(capsys, monkeypatch):
         )
         assert code == 3
         assert "cap" in err
+    # past the state sum's ceiling, a raised cap builds nothing either
+    argv = ("jones", "--braid", "s1^30", "--method", "statesum", "--max-crossings", "100")
+    code, _, err = invoke(capsys, *argv)
+    assert (code, "ceiling" in err) == (3, True)
+    monkeypatch.undo()
+    for module, name in (
+        (overlay, "partition_function"),
+        (tait, "build_tait"),
+        (oracle, "bracket_state_sum"),
+    ):
+        monkeypatch.setattr(module, name, refuse)
+    code, _, err = invoke(capsys, "verify", "--braid", "s1^30", "--max-crossings", "100")
+    assert (code, "ceiling" in err) == (3, True)
 
 
 def test_overlong_numbers_in_braid_text_exit_1(capsys):
