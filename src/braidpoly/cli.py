@@ -136,16 +136,17 @@ def _bracket(word: BraidWord, method: str, cap: int):
     if method == "det":
         from .dimer import bracket_via_det
         return bracket_via_det(word)
+    if method == "statesum":
+        from .diagram import build_diagram
+        from .oracle import bracket_state_sum, check_state_sum
+        check_state_sum(word.crossing_count, cap)
+        return bracket_state_sum(build_diagram(word), max_crossings=cap)
     _check_cap(word, method, cap)
     if method == "matchings":
         from .dimer import prepare_overlay
         from .overlay import partition_function
         return partition_function(prepare_overlay(word), max_crossings=cap)
     from .diagram import build_diagram
-    if method == "statesum":
-        from .oracle import bracket_state_sum, check_state_sum
-        check_state_sum(word.crossing_count, cap)
-        return bracket_state_sum(build_diagram(word), max_crossings=cap)
     from .tait import build_tait, thistlethwaite_sum
     return thistlethwaite_sum(build_tait(build_diagram(word)), max_edges=cap)
 
@@ -238,7 +239,7 @@ def _verify_word(word: BraidWord, cap: int, label: str | None = None) -> bool:
     from .overlay import partition_function, perfect_matchings
     from .tait import build_tait, spanning_trees, thistlethwaite_sum
     det = bracket_via_det(word)
-    _check_cap(word, "matchings", cap)
+    # one cap bounds every enumeration; the state sum's also has a ceiling
     check_state_sum(word.crossing_count, cap)
     overlay = prepare_overlay(word)
     diagram = build_diagram(word)

@@ -36,7 +36,7 @@ __all__ = [
 _LOOP_FACTOR = LaurentPoly1({2: -1, -2: -1})
 
 
-def check_state_sum(crossings: int, max_crossings: int = DEFAULT_CROSSING_CAP) -> None:
+def check_state_sum(crossings: int, max_crossings: int) -> None:
     """Refuse a state sum past ``max_crossings`` or past the default cap.
 
     The work is exactly 2^c states, known before any starts: a caller's

@@ -284,17 +284,23 @@ def test_console_script_entry_point():
 def test_cli_loads_no_rational_arithmetic_and_every_export_resolves():
     # nothing evaluates a polynomial at a number, so a CLI process should
     # not pay for importing rational or decimal arithmetic
+    arithmetic = {"fractions", "decimal"}
     result, loaded = modules_after("import braidpoly.cli")
     assert result.returncode == 0, result.stderr
-    assert {"fractions", "decimal"} & loaded == set()
+    assert arithmetic & loaded == set()
+    # verify loads every compute module, so none of them may import it either
+    enumeration = {f"braidpoly.{name}" for name in ("diagram", "overlay", "dimer", "tait", "oracle")}
+    result, loaded = cli_modules("verify", "--braid", "s1^2 s2^3")
+    assert (result.returncode, result.stdout.splitlines()[-1]) == (0, "PASS"), result.stderr
+    assert enumeration <= loaded
+    assert arithmetic & loaded == set()
     # a process loads only what its command runs
     result, loaded = cli_modules("jones", "--braid", "s1^3")
     assert (result.returncode, result.stdout) == (0, TREFOIL + "\n")
-    assert {"dataclasses", "inspect", "json", "braidpoly.tait"} & loaded == set()
+    assert (arithmetic | {"dataclasses", "inspect", "json", "braidpoly.tait"}) & loaded == set()
     result, loaded = cli_modules("kauffman", "--q", "5")
     assert result.returncode == 0, result.stderr
-    enumeration = {"diagram", "overlay", "dimer", "tait", "oracle"}
-    assert {f"braidpoly.{name}" for name in enumeration} & loaded == set()
+    assert enumeration & loaded == set()
     result, loaded = modules_after("import braidpoly")
     assert result.returncode == 0, result.stderr
     assert "braidpoly.kauffman" in loaded
