@@ -15,12 +15,10 @@ Each matrix row is a map from column position to nonzero cell, a
 rotation.  ``determinant`` is the one place a cell becomes its signed
 bracket image; the symbolic expansion reads the cells as they are, and
 the dense ``entries`` view exists only for printing.  Every image is a
-unit +-A^k, so the elimination peels rows and columns with one nonzero
-by Laplace expansion, takes plain Gaussian steps on unit pivots, and
-leaves only what neither reaches to a small dense fraction-free
-(Bareiss) elimination, kept for general matrices.  On the matrices of
-family words that rest is empty: no division but shifts, and the number
-of ring operations grows about linearly with the crossing count.
+unit +-A^k, and ``forward_determinant`` proves that one pass over the
+rows in crossing order, of Laplace peels and Gaussian steps on unit
+pivots, eliminates every family matrix.  It divides by nothing but
+units, and its ring operations are linear in the crossing count.
 
 Signing is a GF(2) solve: one unknown per edge, one parity equation
 per traced face, where a face of boundary length 2k wants its negative
@@ -37,12 +35,11 @@ from __future__ import annotations
 
 from collections import Counter
 from collections.abc import Mapping, Sequence
-from heapq import heapify, heappop, heappush
 
 from .activity import ActivityWord
 from .braid import BraidWord
 from .diagram import build_diagram
-from .errors import DeterminantCheckFailed, NoKasteleynSolution, NotDivisible
+from .errors import DeterminantCheckFailed, NoKasteleynSolution
 from .kauffman import BRACKET_IMAGE
 from .laurent import LaurentPoly1
 from .oracle import writhe_correction
@@ -54,7 +51,7 @@ __all__ = [
     "embedding_faces",
     "kasteleyn_sign",
     "adjacency_matrix",
-    "bareiss_determinant",
+    "forward_determinant",
     "determinant",
     "symbolic_determinant",
     "bracket_sign",
@@ -68,9 +65,8 @@ class OpCounter:
     """Tally of ring operations performed by the elimination.
 
     A quotient by a unit +-A^k is a product with its inverse and counts
-    in ``muls``, so ``divs`` counts only exact divisions by other values.
-    Those happen only in the Bareiss rest, which no matrix of a family
-    word reaches.
+    in ``muls``.  The elimination divides by nothing else, so ``divs``
+    is always 0; it stays because the benchmark's tracer reads it.
     """
 
     __slots__ = ("muls", "adds", "divs")
@@ -261,207 +257,100 @@ def _permutation_sign(order: list[int]) -> int:
     return sign
 
 
-def bareiss_determinant(
+def forward_determinant(
     rows: Sequence[Mapping[int, LaurentPoly1]], ops: OpCounter | None = None
 ) -> LaurentPoly1:
-    """Determinant by singleton peeling and unit Gaussian steps, then Bareiss.
+    """Determinant by one forward pass over the rows: peels and unit steps.
 
-    Rows are maps from column to entry, and every entry must be nonzero:
-    the counts below take each stored entry as one.  The rows are copied,
-    not changed.  Each pivot (r, c) deletes row r and column c, and its
-    entry becomes a factor of the determinant.  Pivots are taken in three
-    kinds:
+    Rows map columns 0 to n - 1 to nonzero entries; they are copied, not
+    changed.  When row r is reached the earlier rows are gone.  With one
+    entry it is peeled: Laplace expansion makes the entry a factor and
+    drops its column from the later rows, at no ring operation.  With
+    two, some column c must hold exactly two entries, a unit p in row r:
+    the exact step row_i -= (x p^-1) row_r clears c from its other, later
+    row i, and p is a factor.  With none the determinant is 0.  Anything
+    else stalls and raises ``DeterminantCheckFailed`` naming the row, so
+    no value is ever wrong.  The factors are multiplied in a balanced
+    tree and signed by the column order; ``ops`` counts each product and
+    each sum.
 
-    1. A row or column with one nonzero is a singleton.  Laplace
-       expansion along it leaves the minor as it is, so it costs no ring
-       operation, whatever its entry.  A row or column goes on a
-       worklist when its count drops to 1; a count that drops to 0
-       makes the determinant 0.
-    2. Else a unit entry +-A^k, from a heap keyed by Markowitz cost
-       (row count - 1) * (column count - 1), ties going to the lowest
-       (row, column).  The plain Gaussian step row_i -= (x p^-1) row_r
-       on it is exact, so the rows left hold the true Schur complement.
-       Only unit entries are pushed: at the start, and when an update
-       leaves one.  A popped entry that is gone or no longer a unit is
-       dropped, and one whose cost has since grown is pushed back.
-    3. What neither reaches goes to ``_bareiss_rest``, a dense Bareiss
-       elimination whose divisions are exact.  On the matrices of family
-       words that rest is empty: each of 472 whole matrices tried was
-       taken by the first two kinds.  They were the 168 words of the test
-       corpus, 300 random words of up to 12 generators with exponents up
-       to 30 and both signs, ``s1^160 s2^160``, and three words at the
-       1000-crossing cap: ``s1 s2^999``, ``s1^10 ... s100^10`` and
-       ``s1^-25 ... s40^-25``.  Over the first 40 matrices of the
-       benchmark's det-large stream (seed 1), the first two kinds took
-       184 singleton pivots and 2312 unit pivots, and no update filled in
-       an entry that was zero.
-
-    The determinant is the product of the factors, taken in a balanced
-    tree, times the signs of the row and column orders of all pivots.
-    ``ops`` counts each product in the updates and the tree as a mul and
-    each sum as an add; peeling itself costs nothing.  The rest counts
-    its own steps the same way, and each quotient by a non-unit as a div.
+    No family matrix stalls.  Its rows run in crossing order.  Syllable
+    i brings m_i new columns: m_i - 1 bigons b_k, each in its rows k and
+    k + 1 only, and a dense face D_i in all its rows.  Its rows meet no
+    other column but D_(i-1), on its first and last rows, and D_(i-2),
+    either absent if a deleted face.  So the matrix is block lower
+    triangular by syllable, and each diagonal block is a ladder.  When
+    the pass reaches syllable i, D_(i-1) and D_(i-2) are peeled and the
+    earlier steps stayed in their own syllables, so row k < m_i holds
+    {b_k, D_i}; no step has touched b_k, so its entry is a letter's
+    image, a unit.  The step into row k + 1 clears b_k there and changes
+    only its D_i entry, which times the k pivots is the determinant of
+    the ladder's first k + 1 rows: a unit times the bracket of the
+    (2, k + 1) torus link, whose k + 1 ladder words are its matchings.
+    That is never 0 and never a unit, so D_i competes only in row 1 of
+    a two-row block that no later row meets, at the same cost.  The
+    last row holds {D_i} alone, and its peel drops D_i from the later
+    syllables.  So c crossings on n strands take c - n + 1 steps of two
+    products and a sum, and the tree c - 1 products:
+    muls = 3c - 2n + 1 and adds = c - n + 1.
     """
-    live = {i: dict(row) for i, row in enumerate(rows)}
-    if not all(live.values()):
-        return LaurentPoly1.zero()
+    live = [dict(row) for row in rows]
     in_col: dict[int, set[int]] = {}
-    for i, row in live.items():
+    for i, row in enumerate(live):
         for j in row:
             in_col.setdefault(j, set()).add(i)
-    # (row, None) or (None, column), checked again when popped
-    singles = [(i, None) for i, row in live.items() if len(row) == 1]
-    singles += [(None, j) for j, col in in_col.items() if len(col) == 1]
-
-    def cost(i: int, j: int) -> int:
-        return (len(live[i]) - 1) * (len(in_col[j]) - 1)
-
-    units = [(cost(i, j), i, j) for i, row in live.items() for j, x in row.items() if x.is_unit]
-    heapify(units)
     factors: list[LaurentPoly1] = []
-    row_order: list[int] = []
     col_order: list[int] = []
-    while live:
-        if singles:
-            r, c = singles.pop()
-            if r is None:
-                if len(in_col.get(c, ())) != 1:
-                    continue
-                (r,) = in_col[c]
-            elif len(live.get(r, ())) == 1:
-                (c,) = live[r]
-            else:
-                continue
-        elif units:
-            stored, r, c = heappop(units)
-            if c not in live.get(r, ()) or not live[r][c].is_unit:
-                continue
-            current = cost(r, c)
-            if current > stored:
-                heappush(units, (current, r, c))
-                continue
-        else:
-            break
-        upper = live.pop(r)
-        pivot = upper.pop(c)
-        factors.append(pivot)
-        row_order.append(r)
-        col_order.append(c)
-        for j in upper:
+    for r, row in enumerate(live):
+        for j in row:
             in_col[j].discard(r)
-        touched = in_col.pop(c)
-        touched.discard(r)
-        if touched and upper:
-            # not a singleton, so the pivot is a unit: a quotient by it is
-            # a product with its inverse
-            minus_inverse = -(pivot**-1)
-        for i in touched:
-            row = live[i]
-            x = row.pop(c)
-            if upper:
-                factor = x * minus_inverse
-                for j, y in upper.items():
-                    old = row.get(j)
-                    value = factor * y if old is None else old + factor * y
-                    if value:
-                        if old is None:
-                            in_col[j].add(i)
-                        row[j] = value
-                        if value.is_unit:
-                            heappush(units, (cost(i, j), i, j))
-                    else:
-                        del row[j]
-                        in_col[j].discard(i)
-                    if ops and old is not None:
-                        ops.adds += 1
-                if ops:
-                    ops.muls += 1 + len(upper)
-            if len(row) < 2:
-                if not row:
-                    return LaurentPoly1.zero()
-                singles.append((i, None))
-        # the columns of row r lost it, and may have lost cancelled entries
-        for j in upper:
-            size = len(in_col[j])
-            if size < 2:
-                if not size:
-                    return LaurentPoly1.zero()
-                singles.append((None, j))
-    if live:
-        rest = _bareiss_rest(live, row_order, col_order, ops)
-        if not rest:
-            return rest
-        factors.append(rest)
+        if len(row) == 1:
+            ((c, pivot),) = row.items()
+            for i in in_col.pop(c):
+                del live[i][c]
+        elif len(row) == 2:
+            for c, pivot in row.items():
+                if len(in_col[c]) == 1 and pivot.is_unit:
+                    break
+            else:
+                raise DeterminantCheckFailed(f"elimination stalls at row {r}: no unit pivot")
+            del row[c]
+            ((j, y),) = row.items()
+            (i,) = in_col.pop(c)
+            target = live[i]
+            old = target.get(j)
+            # a quotient by a unit is a product with its inverse
+            factor = target.pop(c) * -(pivot**-1)
+            value = factor * y if old is None else old + factor * y
+            if value:
+                target[j] = value
+                in_col[j].add(i)
+            else:
+                del target[j]
+                in_col[j].discard(i)
+            if ops:
+                ops.muls += 2
+                if old is not None:
+                    ops.adds += 1
+        elif not row:
+            return LaurentPoly1.zero()
+        else:
+            raise DeterminantCheckFailed(f"elimination stalls at row {r}: {len(row)} entries")
+        factors.append(pivot)
+        col_order.append(c)
     while len(factors) > 1:
         pairs = [a * b for a, b in zip(factors[::2], factors[1::2])]
         if ops:
             ops.muls += len(pairs)
         factors[: 2 * len(pairs)] = pairs
     det = factors[0] if factors else LaurentPoly1.one()
-    sign = _permutation_sign(row_order) * _permutation_sign(col_order)
-    return det if sign > 0 else -det
-
-
-def _bareiss_rest(
-    live: dict[int, dict[int, LaurentPoly1]],
-    row_order: list[int],
-    col_order: list[int],
-    ops: OpCounter | None,
-) -> LaurentPoly1:
-    """Dense fraction-free (Bareiss) elimination of the rows left in ``live``.
-
-    The rows and the columns they still use are taken in sorted order,
-    and a zero pivot is swapped for the first lower row with a nonzero
-    in its column.  Step t sets a_ij = (a_tt a_ij - a_it a_tj) / p, where
-    p is the step t - 1 pivot (1 at the first step); by Sylvester's
-    identity every such division is exact.  The last pivot is the
-    determinant in the final row and column orders, which are appended
-    to ``row_order`` and ``col_order``.  A column that was zero from the
-    start is in no row, so fewer columns than rows means determinant 0.
-    """
-    rows = sorted(live)
-    cols = sorted({j for row in live.values() for j in row})
-    n = len(rows)
-    zero = LaurentPoly1.zero()
-    if len(cols) < n:
-        return zero
-    a = [[live[i].get(j, zero) for j in cols] for i in rows]
-    pivot = LaurentPoly1.one()
-    for t in range(n):
-        k = next((k for k in range(t, n) if a[k][t]), None)
-        if k is None:
-            return zero
-        a[t], a[k], rows[t], rows[k] = a[k], a[t], rows[k], rows[t]
-        divisor, pivot = pivot, a[t][t]
-        for i in range(t + 1, n):
-            for j in range(t + 1, n):
-                value = pivot * a[i][j] - a[i][t] * a[t][j]
-                if t:
-                    try:
-                        value = value.exact_div(divisor)
-                    except NotDivisible as exc:
-                        where = f"elimination step ({rows[i]},{cols[j]}) at pivot {t + 1}"
-                        raise NotDivisible(f"{where}: {exc}") from exc
-                a[i][j] = value
-        if ops:
-            cells = (n - t - 1) ** 2
-            ops.muls += 2 * cells
-            ops.adds += cells
-            if t:
-                # a quotient by a unit is a product with its inverse
-                if divisor.is_unit:
-                    ops.muls += cells
-                else:
-                    ops.divs += cells
-    row_order += rows
-    col_order += cols
-    return pivot
+    return det if _permutation_sign(col_order) > 0 else -det
 
 
 def determinant(m: ModifiedAdjacencyMatrix, ops: OpCounter | None = None) -> LaurentPoly1:
     """Determinant after evaluation: each cell becomes its signed bracket image."""
     images = [{j: _SIGNED_IMAGE[cell] for j, cell in row.items()} for row in m.sparse]
-    return bareiss_determinant(images, ops)
+    return forward_determinant(images, ops)
 
 
 def symbolic_determinant(m: ModifiedAdjacencyMatrix) -> dict[tuple, int]:

@@ -61,7 +61,7 @@ class NoKasteleynSolution(BraidPolyError):
 
 
 class DeterminantCheckFailed(BraidPolyError):
-    """The determinant's value at A = 1 has the wrong size; a signing or elimination bug."""
+    """Wrong determinant size at A = 1, or a stalled elimination; a signing or elimination bug."""
 
 
 class NotDivisible(BraidPolyError):

@@ -6,18 +6,18 @@ from hypothesis import strategies as st
 
 from braidpoly import dimer
 from braidpoly.activity import ActivityWord
-from braidpoly.braid import parse_braid
+from braidpoly.braid import BraidWord, parse_braid
 from braidpoly.diagram import build_diagram
 from braidpoly.dimer import (
     ModifiedAdjacencyMatrix,
     OpCounter,
     _solve_gf2,
     adjacency_matrix,
-    bareiss_determinant,
     bracket_sign,
     bracket_via_det,
     determinant,
     embedding_faces,
+    forward_determinant,
     jones_via_det,
     kasteleyn_sign,
     prepare_overlay,
@@ -184,114 +184,51 @@ def test_matrix_json_round_structure():
     assert numeric["rows"] == [1, 2]
 
 
+def signed_image(cell) -> LaurentPoly1:
+    if cell is None:
+        return LaurentPoly1.zero()
+    image = BRACKET_IMAGE[cell[1]]
+    return image if cell[0] > 0 else -image
+
+
 def test_determinant_evaluates_letters_on_corpus_matrices():
     # the whole matrix of each of the 168 corpus words, at most 12 rows;
     # the dense signed images are built here
     sizes = []
     for word in corpus_words():
         m = adjacency_matrix(prepare_overlay(word))
-        dense = [
-            [
-                LaurentPoly1.zero()
-                if cell is None
-                else (BRACKET_IMAGE[cell[1]] if cell[0] > 0 else -BRACKET_IMAGE[cell[1]])
-                for cell in row
-            ]
-            for row in m.entries
-        ]
+        dense = [[signed_image(cell) for cell in row] for row in m.entries]
         assert determinant(m) == cofactor_det(dense, max_size=12), word
         sizes.append(len(m.rows))
     assert (len(sizes), max(sizes)) == (168, 12)
 
 
 def sparse_rows(rows):
-    """Dense rows as the column-to-entry maps ``bareiss_determinant`` takes: no zeros."""
+    """Dense rows as the column-to-entry maps ``forward_determinant`` takes: no zeros."""
     return [{j: x for j, x in enumerate(row) if x} for row in rows]
-
-
-def test_bareiss_upper_triangular_is_diagonal_product():
-    a = LaurentPoly1.term(1, 2)
-    b = LaurentPoly1.term(-1, 0)
-    c = LaurentPoly1({1: 1, -1: 1})
-    z = LaurentPoly1.zero()
-    rows = [[a, b, c], [z, b, a], [z, z, c]]
-    assert bareiss_determinant(sparse_rows(rows)) == a * b * c
 
 
 def test_bareiss_row_swap_sign():
     z = LaurentPoly1.zero()
     one = LaurentPoly1.one()
-    assert bareiss_determinant(sparse_rows([[z, one], [one, z]])).terms == {0: -1}
-    assert bareiss_determinant(sparse_rows([[z, one], [z, one]])).is_zero
-    assert bareiss_determinant([]).terms == {0: 1}
+    assert forward_determinant(sparse_rows([[z, one], [one, z]])).terms == {0: -1}
+    assert forward_determinant(sparse_rows([[z, one], [z, one]])).is_zero
+    assert forward_determinant([]).terms == {0: 1}
 
 
-def reaching_the_rest(monkeypatch):
-    """Calls of ``_bareiss_rest``, each recorded as its row count."""
-    calls = []
-    rest = dimer._bareiss_rest
-
-    def spy(live, *args):
-        calls.append(len(live))
-        return rest(live, *args)
-
-    monkeypatch.setattr(dimer, "_bareiss_rest", spy)
-    return calls
-
-
-def test_bareiss_rest_with_fewer_columns_than_rows_is_zero(monkeypatch):
-    # column 1 is zero from the start, so it never counts as emptied; no
-    # entry is a unit or alone in its row or column, so all 3 rows reach
-    # the rest, which sees only 2 columns
-    rows = [
-        [LaurentPoly1(terms) for terms in row]
-        for row in (
-            ({0: 2, 1: 1}, {}, {0: 3}),
-            ({-1: 1, 2: 1}, {}, {1: 2, 0: -1}),
-            ({0: 5}, {}, {2: 1, -2: 1}),
-        )
-    ]
-    calls = reaching_the_rest(monkeypatch)
-    expected = cofactor_det(rows)
-    assert expected.is_zero
-    assert bareiss_determinant(sparse_rows(rows)) == expected
-    assert calls == [3]
-
-
-def test_bareiss_rest_swaps_rows_on_a_zero_pivot(monkeypatch):
-    # dense, no unit anywhere and nothing at the top left: the first
-    # Bareiss step has to take a lower row
-    rows = [
-        [LaurentPoly1(terms) for terms in row]
-        for row in (
-            ({}, {0: 2, 1: 1}, {0: 3}, {-1: 1, 1: 1}),
-            ({0: 2}, {2: 1, 0: 1}, {1: -2}, {0: 3, 1: 1}),
-            ({1: 1, 0: -2}, {0: 4}, {-1: 2, 0: 1}, {0: -3}),
-            ({0: 3, 2: 1}, {1: 2}, {0: 1, 1: 1}, {0: 2, -2: 1}),
-        )
-    ]
-    calls = reaching_the_rest(monkeypatch)
-    ops = OpCounter()
-    expected = cofactor_det(rows)
-    assert not expected.is_zero
-    assert bareiss_determinant(sparse_rows(rows), ops) == expected
-    assert calls == [4]
-    assert ops.divs > 0
-
-
-def sparse_poly(rng: random.Random) -> LaurentPoly1:
-    if rng.random() < 0.45:
-        return LaurentPoly1.zero()
-    terms = {}
-    for _ in range(rng.randint(1, 2)):
-        terms[rng.randint(-3, 3)] = rng.choice([-2, -1, 1, 2])
-    return LaurentPoly1(terms)
-
-
-def test_bareiss_matches_cofactor_on_sparse_8x8():
-    rng = random.Random(20260823)
-    rows = [[sparse_poly(rng) for _ in range(8)] for _ in range(8)]
-    assert bareiss_determinant(sparse_rows(rows)) == cofactor_det(rows)
+def test_forward_pass_stalls_on_a_row_it_cannot_take():
+    a = LaurentPoly1.term(1, 2)
+    b = LaurentPoly1.term(-1, 0)
+    c = LaurentPoly1({1: 1, -1: 1})
+    z = LaurentPoly1.zero()
+    # upper triangular, but the first row has three entries
+    with pytest.raises(DeterminantCheckFailed, match="row 0: 3 entries"):
+        forward_determinant(sparse_rows([[a, b, c], [z, b, a], [z, z, c]]))
+    # two unit entries, each in a column of three
+    rows = [[a, b, z], [b, c, a], [c, a, b]]
+    with pytest.raises(DeterminantCheckFailed, match="row 0: no unit pivot"):
+        forward_determinant(sparse_rows(rows))
+    assert not cofactor_det(rows).is_zero
 
 
 def unit_poly(rng: random.Random) -> LaurentPoly1:
@@ -303,71 +240,69 @@ def general_poly(rng: random.Random) -> LaurentPoly1:
     return LaurentPoly1(terms) or LaurentPoly1.term(2, 0)
 
 
+def sparse_unit_poly(rng: random.Random) -> LaurentPoly1:
+    """Zero half the time, else a unit two times in three."""
+    draw = rng.random()
+    if draw < 0.5:
+        return LaurentPoly1.zero()
+    return unit_poly(rng) if draw < 5 / 6 else general_poly(rng)
+
+
+def chained_ladders(rng: random.Random, sizes: list[int]) -> list[list[LaurentPoly1]]:
+    """A matrix of a family word's shape, with general dense entries.
+
+    Block i has ``sizes[i]`` rows.  Its bigon columns hold units in two
+    consecutive rows, and its dense column D_i a general entry in every
+    row.  Its first and last rows also meet D_(i-1), and every row meets
+    D_(i-2).  The rows stay in order and the columns are shuffled.
+    """
+    n = sum(sizes)
+    rows = [[LaurentPoly1.zero()] * n for _ in range(n)]
+    cols = rng.sample(range(n), n)
+    dense = []
+    top = 0
+    for m in sizes:
+        block = range(top, top + m)
+        for k in block[:-1]:
+            bigon = cols.pop()
+            rows[k][bigon] = unit_poly(rng)
+            rows[k + 1][bigon] = unit_poly(rng)
+        dense.append(cols.pop())
+        met = [(dense[-1], block)]
+        if len(dense) > 1:
+            met.append((dense[-2], {top, top + m - 1}))
+        if len(dense) > 2:
+            met.append((dense[-3], block))
+        for d, ks in met:
+            for k in ks:
+                rows[k][d] = general_poly(rng)
+        top += m
+    return rows
+
+
 @settings(deadline=None, max_examples=80)
 @given(
     st.integers(0, 2**31 - 1),
-    st.integers(2, 7),
-    st.sampled_from(
-        ["random", "singular", "zero diagonal", "chain", "singleton", "unit singular"]
-    ),
+    st.lists(st.integers(1, 4), min_size=1, max_size=4).filter(lambda s: sum(s) <= 10),
 )
-def test_bareiss_matches_cofactor_on_random_matrices(seed, n, kind):
+def test_forward_pass_finishes_chained_ladders(seed, sizes):
+    # the shape the docstring proves the pass finishes, with dense
+    # entries that need not be units or torus brackets
+    rows = chained_ladders(random.Random(seed), sizes)
+    assert forward_determinant(sparse_rows(rows)) == cofactor_det(rows)
+
+
+@settings(deadline=None, max_examples=80)
+@given(st.integers(0, 2**31 - 1), st.integers(1, 7))
+def test_forward_pass_stalls_or_is_exact_on_random_matrices(seed, n):
+    # sparse, mostly unit entries: a stall raises, and any value is exact
     rng = random.Random(seed)
-    rows = [[sparse_poly(rng) for _ in range(n)] for _ in range(n)]
-    z = LaurentPoly1.zero()
-    if kind == "singleton":
-        # general entries alone in their column (even picks) or in their
-        # row (odd picks), peeled by Laplace expansion with no ring operation
-        perm = rng.sample(range(n), n)
-        lines = rng.sample(range(n), rng.randint(1, n))
-        for i in lines[::2]:
-            for k in range(n):
-                rows[k][perm[i]] = z
-            rows[i][perm[i]] = general_poly(rng)
-        for i in lines[1::2]:
-            rows[i] = [z] * n
-            rows[i][perm[i]] = general_poly(rng)
-    elif kind == "unit singular":
-        # a cycle of units whose last row is a unit times the first (or,
-        # transposed, the same of columns): the pivot taken on one of the
-        # pair empties the other before any Bareiss step
-        n += 2
-        rows = [[z] * n for _ in range(n)]
-        for i in range(n):
-            rows[i][i] = unit_poly(rng)
-            rows[i][(i + 1) % n] = unit_poly(rng)
-        u = unit_poly(rng)
-        rows[-1] = [u * x for x in rows[0]]
-        if rng.random() < 0.5:
-            rows = [list(col) for col in zip(*rows)]
-        row_perm, col_perm = rng.sample(range(n), n), rng.sample(range(n), n)
-        rows = [[rows[i][j] for j in col_perm] for i in row_perm]
-    elif kind == "chain":
-        # the shape of a crossing-by-face matrix: a unit bidiagonal, one or
-        # two dense columns of general entries, rows and columns shuffled
-        n += 3
-        rows = [[z] * n for _ in range(n)]
-        for i in range(n):
-            rows[i][i] = unit_poly(rng)
-            if i + 1 < n:
-                rows[i][i + 1] = unit_poly(rng)
-        for j in rng.sample(range(n), rng.randint(1, 2)):
-            for i in range(n):
-                rows[i][j] = general_poly(rng)
-        row_perm, col_perm = rng.sample(range(n), n), rng.sample(range(n), n)
-        rows = [[rows[i][j] for j in col_perm] for i in row_perm]
-    elif kind == "singular":
-        # the last row is a combination of the first and row n - 2
-        f, g = sparse_poly(rng), sparse_poly(rng)
-        rows[-1] = [f * x + g * y for x, y in zip(rows[0], rows[n - 2])]
-    elif kind == "zero diagonal":
-        # no pivot on the diagonal, so every pivot comes from a row swap
-        for i in range(n):
-            rows[i][i] = LaurentPoly1.zero()
-    expected = cofactor_det(rows)
-    assert bareiss_determinant(sparse_rows(rows)) == expected
-    if kind in ("singular", "unit singular"):
-        assert expected.is_zero
+    rows = [[sparse_unit_poly(rng) for _ in range(n)] for _ in range(n)]
+    try:
+        value = forward_determinant(sparse_rows(rows))
+    except DeterminantCheckFailed:
+        return
+    assert value == cofactor_det(rows)
 
 
 def torus_bracket(q: int) -> LaurentPoly1:
@@ -470,49 +405,108 @@ def test_op_counter_starts_at_zero_and_totals_its_counts():
     assert ops.total == 15
 
 
-def test_unit_first_pivots_keep_divisions_few():
-    # only a non-unit pivot makes a division; an elimination in Markowitz
-    # order alone, with no preference for units, once took 148 here, and
-    # peeling and unit steps take none
-    word = parse_braid(" ".join(f"s{i}^10" for i in range(1, 11)))
+def op_counts(word) -> tuple[int, int, int]:
+    """(muls, adds, divs) of the determinant of ``word``'s matrix."""
     ops = OpCounter()
     determinant(adjacency_matrix(prepare_overlay(word)), ops)
-    assert ops.divs == 0
+    return ops.muls, ops.adds, ops.divs
+
+
+def exact_counts(word) -> tuple[int, int, int]:
+    """3c - 2n + 1 muls and c - n + 1 adds for c crossings on n strands, no divs."""
+    c, n = word.crossing_count, word.strands
+    return 3 * c - 2 * n + 1, c - n + 1, 0
+
+
+def test_unit_first_pivots_keep_divisions_few():
+    # the forward pass divides by nothing but units, one step per bigon
+    word = parse_braid(" ".join(f"s{i}^10" for i in range(1, 11)))
+    assert op_counts(word) == exact_counts(word) == (279, 90, 0)
+    word = parse_braid("s1^160 s2^160")
+    assert op_counts(word) == exact_counts(word) == (955, 318, 0)
 
 
 def test_wide_word_needs_no_big_division():
-    # 100 generators at the crossing cap.  Carrying each dense-column pivot
-    # through the later rows once took 293 big exact divisions here; peeling
-    # and unit steps leave no rest, so none
+    # 100 generators at the crossing cap: each dense column is peeled at
+    # no cost, so no big entry is ever divided or carried on
     word = parse_braid(" ".join(f"s{i}^10" for i in range(1, 101)))
     m = adjacency_matrix(prepare_overlay(word))
     ops = OpCounter()
     det = determinant(m, ops)
     assert (det if bracket_sign(word, det) > 0 else -det) == torus_bracket(10) ** 100
-    assert ops.divs == 0
+    assert (ops.muls, ops.adds, ops.divs) == exact_counts(word) == (2799, 900, 0)
 
 
-def test_family_words_never_reach_the_bareiss_rest(monkeypatch):
-    # peeling and unit steps take every pivot of a family word's matrix,
-    # so the det path divides by nothing but units
-    def refuse(*args):
-        raise AssertionError("a family matrix reached the Bareiss rest")
+def uniform_words() -> list:
+    """Every exponent 1, 2 or 3 alike, on 2 to 39 strands, both signs."""
+    return [
+        BraidWord(n, tuple((i, e) for i in range(1, n)))
+        for n in range(2, 40)
+        for m in (1, 2, 3)
+        for e in (m, -m)
+    ]
 
-    monkeypatch.setattr(dimer, "_bareiss_rest", refuse)
+
+def is_unit_multiple(p: LaurentPoly1, q: LaurentPoly1) -> bool:
+    low_p, low_q = min(p.terms), min(q.terms)
+    unit = p.terms[low_p] // q.terms[low_q]
+    return unit in (1, -1) and p == LaurentPoly1.term(unit, low_p - low_q) * q
+
+
+def test_family_matrices_are_chained_ladders():
+    # the shape forward_determinant's proof rests on: rows in crossing
+    # order, and each syllable bringing its bigons and its dense face;
+    # the ladder's first q rows have a unit times <T(2, q)> as determinant
+    tall = [parse_braid("s1^10 s2^7 s3^9"), parse_braid("s1^-8 s2^-10 s3^-2")]
+    for word in corpus_words() + uniform_words() + tall:
+        rows = adjacency_matrix(prepare_overlay(word)).sparse
+        seen, dense, top = set(), [], 0
+        for _, e in word.syllables:
+            block = list(range(top, top + abs(e)))
+            new = {j for k in block for j in rows[k]} - seen
+            holders = {j: [k for k, row in enumerate(rows) if j in row] for j in new}
+            d = max(new, key=lambda j: len(holders[j]))
+            assert holders[d][: len(block)] == block, word
+            bigons = sorted(holders[j] for j in new if j != d)
+            assert bigons == [[k, k + 1] for k in block[:-1]], word
+            bigon_at = {holders[j][0]: j for j in new if j != d}
+            sign = 1 if e > 0 else -1
+            for q in range(1, len(block) + 1):
+                cols = [bigon_at[k] for k in block[: q - 1]] + [d]
+                minor = [[signed_image(rows[k].get(j)) for j in cols] for k in block[:q]]
+                assert is_unit_multiple(cofactor_det(minor), torus_bracket(sign * q)), word
+            for k in block:
+                # D_(i-2) on any row, D_(i-1) on the first and last only
+                allowed = set(dense[-2:-1])
+                if k in (block[0], block[-1]):
+                    allowed.update(dense[-1:])
+                assert set(rows[k]) - new <= allowed, (word, k)
+            dense.append(d)
+            seen |= new
+            top += len(block)
+
+
+def test_family_words_take_the_forward_pass_at_the_exact_count():
+    # the forward pass never stalls on a family word's matrix, and takes
+    # one step of two products and a sum per bigon
     for word in corpus_words():
-        bracket_via_det(word)
-    for text in (
-        " ".join(f"s{i}^10" for i in range(1, 31)),
-        " ".join(f"s{i}^-6" for i in range(1, 21)),
-        " ".join(f"s{i}" for i in range(1, 41)),
-        "s1^3 s2^30 s3 s4^12 s5^2 s6^25",
-        "s1^-40 s2^-40 s3^-40",
-    ):
-        word = parse_braid(text)
+        assert op_counts(word) == exact_counts(word), word
+    words = [
+        parse_braid(text)
+        for text in (
+            " ".join(f"s{i}^10" for i in range(1, 31)),
+            " ".join(f"s{i}^-6" for i in range(1, 21)),
+            " ".join(f"s{i}" for i in range(1, 41)),
+            "s1^3 s2^30 s3 s4^12 s5^2 s6^25",
+            "s1^-40 s2^-40 s3^-40",
+        )
+    ]
+    for word in words + uniform_words():
         expected = LaurentPoly1.one()
         for _, m in word.syllables:
             expected = expected * torus_bracket(m)
-        assert bracket_via_det(word) == expected
+        assert bracket_via_det(word) == expected, word
+        assert op_counts(word) == exact_counts(word), word
 
 
 def test_bracket_via_det_checks_the_determinant_at_one(monkeypatch):
