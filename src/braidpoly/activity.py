@@ -43,6 +43,10 @@ class ActivityWord:
     def __init__(self, letters: Iterable[str] | Mapping[str, int] = ()):
         if isinstance(letters, Mapping):
             counts = Counter(dict(letters))
+            # a count multiplies its letter's exponent when the word specializes
+            for letter, mult in counts.items():
+                if not isinstance(mult, int) or mult < 0:
+                    raise ValueError(f"count of {letter!r} is not a nonnegative integer: {mult!r}")
         else:
             counts = Counter(letters)
         for letter in counts:

@@ -14,6 +14,11 @@ defined on unbarred letters:
 The map orientation (l, not L, going to a^-1) is forced: the one-letter
 word of the single-crossing closure is l, and its ladder value is a^-1.
 
+Every image is one signed monomial, so a word specializes to one too:
+its exponent is the sum over letters of exponent times multiplicity,
+and its sign flips once for each negative image taken an odd number of
+times.  No ring product is made.
+
 The ladder polynomials themselves: P(q) sums the two-variable images of
 the matching words of the q-rung ladder; g(n) is the Chebyshev-like
 z-recursion; K2q gives the unnormalized (2,q) torus value by three
@@ -42,44 +47,48 @@ __all__ = [
     "MAX_Q",
 ]
 
+# letter -> (coefficient, A exponent) of its one-variable image
+_BRACKET_TERM = {
+    "L": (-1, -3), "l~": (-1, -3), "l": (-1, 3), "L~": (-1, 3),
+    "D": (1, 1), "d~": (1, 1), "d": (1, -1), "D~": (1, -1),
+}
+
+# letter -> (a exponent, z exponent) of its two-variable image, coefficient 1
+_KAUFFMAN_EXP = {"L": (1, 0), "l": (-1, 0), "D": (0, 1), "d": (0, 1)}
+
 BRACKET_IMAGE: dict[str, LaurentPoly1] = {
-    "L": LaurentPoly1({-3: -1}),
-    "l~": LaurentPoly1({-3: -1}),
-    "l": LaurentPoly1({3: -1}),
-    "L~": LaurentPoly1({3: -1}),
-    "D": LaurentPoly1({1: 1}),
-    "d~": LaurentPoly1({1: 1}),
-    "d": LaurentPoly1({-1: 1}),
-    "D~": LaurentPoly1({-1: 1}),
+    letter: LaurentPoly1.term(c, e) for letter, (c, e) in _BRACKET_TERM.items()
 }
 
 KAUFFMAN_IMAGE: dict[str, LaurentPoly2] = {
-    "L": LaurentPoly2({(1, 0): 1}),
-    "l": LaurentPoly2({(-1, 0): 1}),
-    "D": LaurentPoly2({(0, 1): 1}),
-    "d": LaurentPoly2({(0, 1): 1}),
+    letter: LaurentPoly2.term(1, ea, ez) for letter, (ea, ez) in _KAUFFMAN_EXP.items()
 }
 
 K2Q_METHODS = ("skein", "prop", "closed")
 
-# prop, the slowest method, takes 1.2-1.6 s at q = 120 and 2.5-3.6 s at q = 150 on a 2-core Xeon VM
+# prop, the slowest method, takes 0.8-1.5 s at q = 120 and 3.0-3.5 s at q = 150 on a 2-core Xeon VM
 MAX_Q = 120
 
 
 def specialize_bracket(word: ActivityWord) -> LaurentPoly1:
-    out = LaurentPoly1.one()
+    sign, exp = 1, 0
     for letter, mult in word.key():
-        out = out * BRACKET_IMAGE[letter] ** mult
-    return out
+        c, e = _BRACKET_TERM[letter]
+        exp += e * mult
+        if c < 0 and mult % 2:
+            sign = -sign
+    return LaurentPoly1.term(sign, exp)
 
 
 def specialize_kauffman(word: ActivityWord) -> LaurentPoly2:
-    out = LaurentPoly2.one()
+    ea = ez = 0
     for letter, mult in word.key():
         if is_barred(letter):
             raise BarredLetter(f"{letter} has no two-variable image")
-        out = out * KAUFFMAN_IMAGE[letter] ** mult
-    return out
+        da, dz = _KAUFFMAN_EXP[letter]
+        ea += da * mult
+        ez += dz * mult
+    return LaurentPoly2.term(1, ea, ez)
 
 
 @lru_cache(maxsize=None)
@@ -89,9 +98,9 @@ def P(q: int) -> LaurentPoly2:
         raise NegativeIndex(f"P needs q >= 0, got {q}")
     if q == 0:
         return LaurentPoly2({(1, -1): 1, (-1, -1): 1, (0, 0): -1})
-    total = specialize_kauffman(ActivityWord(["l"] + ["D"] * (q - 1)))
+    total = specialize_kauffman(ActivityWord({"l": 1, "D": q - 1}))
     for i in range(1, q):
-        word = ActivityWord(["d"] + ["L"] * i + ["D"] * (q - 1 - i))
+        word = ActivityWord({"d": 1, "L": i, "D": q - 1 - i})
         total = total + specialize_kauffman(word)
     return total
 

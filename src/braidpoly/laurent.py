@@ -19,17 +19,17 @@ conversion.  A product with A^k, or a quotient by it, only moves the
 run.  A negation, or a product with -A^k, of a one-byte run is one
 ``bytes.translate`` through a negation table.  A one-byte monomial added
 to or subtracted from a one-byte stride-4 run, of its class and outside
-it, is one more byte at an end.  Any other monomial scaled by an integer
-packs one coefficient.  Byte 0x80 (-128) has no one-byte negation, so a
-run that holds it, or a subtraction of it, takes the Kronecker path.
-The determinant path divides by nothing but units, so a quotient by any
-other value is schoolbook division of the coefficient lists.
+it, is one more byte at an end.  Byte 0x80 (-128) has no one-byte
+negation, so a run that holds it, or a subtraction of it, takes the
+Kronecker path.  The determinant path divides by nothing but units, so a
+quotient by any other value is schoolbook division of the coefficient lists.
 ``LaurentPoly2`` groups its terms by power of z: a dict from each z
 exponent to a dict from a exponents to nonzero ints.  That takes 0.54-0.65
 of the bytes of one dict keyed by (a, z) pairs on the (2,q) torus values
-at q = 36-57, since no term needs a key tuple.  A product with a monomial,
-nearly every product the Kauffman layer makes, moves or scales the groups;
-a product with ``z^k`` shares them.
+at q = 36-57, since no term needs a key tuple.  Words specialize without
+products, so the Kauffman layer multiplies only in its recursions; all
+but the ``closed`` method's take a monomial factor, which moves or
+scales the groups, and a product with ``z^k`` shares them.
 
 Text and JSON are output formats only; nothing in the package reads a
 polynomial back.  Rendering conventions, fixed once and relied on by
@@ -343,16 +343,13 @@ class LaurentPoly1:
         A one-byte run times -1 is one ``translate`` through a negation
         table, unless it holds -128 (byte ``0x80``), whose negation needs
         a wider slot; so a product of two unit monomials never packs.  Any
-        other monomial packs its one coefficient.
+        other scaling is one Kronecker product with ``c``.
         """
         if c == 1:
             return LaurentPoly1._make(lo, self._s, self._w, self._data)
         w, data = self._w, self._data
         if c == -1 and w == 1 and b"\x80" not in data:
             return LaurentPoly1._make(lo, self._s, 1, data.translate(_NEGATED))
-        if len(data) == w:
-            c *= int.from_bytes(data, "little", signed=True)
-            return LaurentPoly1._make(lo, 4, *_pack([c]))
         k = w + (abs(c).bit_length() + 7) // 8
         return LaurentPoly1._make(
             lo, self._s, *_from_int(_to_int(data, w, k) * c, k, len(data) // w)
@@ -610,16 +607,11 @@ class LaurentPoly2:
         a, b = self._groups, other._groups
         if not a or not b:
             return LaurentPoly2()
-        # a monomial factor, as in nearly every product, only moves the other
+        # a monomial factor only moves or scales the other's groups
         if len(b) == 1:
             (dz, g), = b.items()
             if len(g) == 1:
                 (da, c), = g.items()
-                if len(a) == 1:
-                    (ez, h), = a.items()
-                    if len(h) == 1:
-                        (ea, d), = h.items()
-                        return LaurentPoly2._make({ez + dz: {ea + da: d * c}})
                 return self._shifted(da, dz, c)
         if len(a) == 1:
             (dz, g), = a.items()
@@ -640,18 +632,6 @@ class LaurentPoly2:
             if kept:
                 groups[ez] = kept
         return LaurentPoly2._make(groups)
-
-    def __pow__(self, n: int) -> "LaurentPoly2":
-        if n < 0:
-            raise ValueError("negative powers only exist for unit monomials")
-        out = LaurentPoly2.one()
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
 
     def z_groups(self) -> Iterator[tuple[int, Mapping[int, int]]]:
         """Pairs (z exponent, read-only {a exponent: coeff}) in ascending z order."""

@@ -32,6 +32,15 @@ def test_word_rejects_unknown_letters():
         ActivityWord(["x"])
 
 
+def test_word_counts_are_nonnegative_integers():
+    for counts in ({"L": -2}, {"L": 1.5}, {"d": "2"}, {"D": 1, "l": -1}):
+        with pytest.raises(ValueError):
+            ActivityWord(counts)
+    # a zero count means the letter is absent
+    assert ActivityWord({"L": 0, "d": 1}) == ActivityWord("d")
+    assert ActivityWord({"L": 0}).key() == () and str(ActivityWord({"L": 0})) == "1"
+
+
 def test_word_str():
     assert str(ActivityWord([])) == "1"
     assert str(ActivityWord(["L", "L", "d"])) == "L^2d"

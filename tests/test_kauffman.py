@@ -1,8 +1,12 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from braidpoly.activity import ActivityWord
+from braidpoly.activity import BASE_LETTERS, LETTERS, ActivityWord
 from braidpoly.errors import BarredLetter, NegativeIndex, TooLarge
 from braidpoly.kauffman import (
+    BRACKET_IMAGE,
+    KAUFFMAN_IMAGE,
     MAX_Q,
     F2q,
     K2Q_METHODS,
@@ -41,6 +45,48 @@ def test_kauffman_specialization():
     assert specialize_kauffman(ActivityWord(["l"])) == az(1, -1, 0)
     with pytest.raises(BarredLetter):
         specialize_kauffman(ActivityWord(["L~"]))
+
+
+def counts_over(letters):
+    return st.dictionaries(st.sampled_from(letters), st.integers(0, 300), max_size=8)
+
+
+@settings(deadline=None, max_examples=60)
+@given(counts_over(LETTERS))
+def test_bracket_specialization_is_the_product_of_letter_images(counts):
+    word = ActivityWord(counts)
+    expected = LaurentPoly1.one()
+    for letter in word:
+        expected = expected * BRACKET_IMAGE[letter]
+    assert specialize_bracket(word) == expected
+
+
+@settings(deadline=None, max_examples=60)
+@given(counts_over(BASE_LETTERS))
+def test_kauffman_specialization_is_the_product_of_letter_images(counts):
+    word = ActivityWord(counts)
+    expected = LaurentPoly2.one()
+    for letter in word:
+        expected = expected * KAUFFMAN_IMAGE[letter]
+    assert specialize_kauffman(word) == expected
+
+
+def test_specialization_and_ladder_sums_make_no_ring_product(monkeypatch):
+    calls = []
+    spied = ((LaurentPoly1, "__mul__"), (LaurentPoly1, "__pow__"), (LaurentPoly2, "__mul__"))
+    for cls, name in spied:
+
+        def counted(*args, original=getattr(cls, name), label=f"{cls.__name__}.{name}"):
+            calls.append(label)
+            return original(*args)
+
+        monkeypatch.setattr(cls, name, counted)
+    P.cache_clear()
+    specialize_bracket(ActivityWord({"L": 300, "l~": 7, "D~": 2, "d": 1}))
+    specialize_kauffman(ActivityWord({"L": 300, "l": 7, "D": 2, "d": 1}))
+    for q in range(41):
+        P(q)
+    assert calls == []
 
 
 def test_inverse_pair_invariant():

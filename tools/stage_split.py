@@ -65,9 +65,6 @@ def time_rounds(src: Path, texts: list[str], rounds: int) -> list[dict[str, floa
     from braidpoly.oracle import writhe_correction
     from braidpoly.overlay import build_overlay, overlay_activity_letters
 
-    # a --parent tree from before bracket_sign reads its sign off a matching
-    fix_sign = getattr(dimer, "fix_sign", None)
-
     def split(text: str, spent: dict[str, float] | None):
         clock = time.perf_counter
         t0 = clock()
@@ -87,7 +84,7 @@ def time_rounds(src: Path, texts: list[str], rounds: int) -> list[dict[str, floa
         t7 = clock()
         det = determinant(m)
         t8 = clock()
-        sign = fix_sign(m) if fix_sign else dimer.bracket_sign(word, det)
+        sign = dimer.bracket_sign(word, det)
         t9 = clock()
         jones = writhe_correction(word.writhe) * (det if sign > 0 else -det)
         t10 = clock()
