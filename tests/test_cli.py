@@ -1,3 +1,4 @@
+import hashlib
 import importlib
 import json
 import pkgutil
@@ -16,6 +17,7 @@ from braidpoly.kauffman import F2q
 from braidpoly.laurent import LAURENT1_JSON_SCHEMA, LAURENT2_JSON_SCHEMA, LaurentPoly1
 
 from cli_child import child_env, cli_modules, modules_after, run_child
+from words import corpus_words
 
 TREFOIL = "A^-4 + A^-12 - A^-16"
 
@@ -192,6 +194,24 @@ def test_graph_tait_and_dual(capsys):
     _, dual_out, _ = invoke(capsys, "graph", "--braid", "s1^2 s2^2", "--kind", "dual")
     assert dual_out.startswith("graph tait {")
     assert tait_out != dual_out
+
+
+TAIT_GRAPHS_SHA256 = "96b73309bac677cbe7f91c9a7543c6a0198f475425e7447fb7359f752115627f"
+
+
+def test_graph_tait_and_dual_outputs_are_pinned(capsys):
+    # every corpus word and a few mixed-sign ones, both shadings, both formats
+    digest = hashlib.sha256()
+    texts = [w.to_text() for w in corpus_words()] + [
+        "s1 s2 s1 s2", "s1 s2^-1 s1 s2^-1", "s1^2 s2^-3 s1 s3^2 s2^-1", "s2 s1^-1 s2^3 s1 s3^-2",
+    ]
+    for text in texts:
+        for kind in ("tait", "dual"):
+            for fmt in ("dot", "json"):
+                code, out, _ = invoke(capsys, "graph", "--braid", text, "--kind", kind, "--format", fmt)
+                assert code == 0, (text, kind, fmt)
+                digest.update(out.encode())
+    assert digest.hexdigest() == TAIT_GRAPHS_SHA256
 
 
 def test_graph_builds_one_diagram_per_kind(capsys, monkeypatch):
