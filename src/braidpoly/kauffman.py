@@ -17,7 +17,9 @@ word of the single-crossing closure is l, and its ladder value is a^-1.
 Every image is one signed monomial, so a word specializes to one too:
 its exponent is the sum over letters of exponent times multiplicity,
 and its sign flips once for each negative image taken an odd number of
-times.  No ring product is made.
+times.  No ring product is made.  A sum of words, ``bracket_sum`` for
+the tree and matching sums and P(q) for the ladder, tallies those
+monomials by exponent and builds one polynomial, so it makes no ring sum.
 
 The ladder polynomials themselves: P(q) sums the two-variable images of
 the matching words of the q-rung ladder; g(n) is the Chebyshev-like
@@ -29,6 +31,7 @@ normalization.
 from __future__ import annotations
 
 from functools import lru_cache
+from typing import Iterable
 
 from .activity import ActivityWord, is_barred
 from .errors import BarredLetter, NegativeIndex, TooLarge
@@ -39,6 +42,7 @@ __all__ = [
     "KAUFFMAN_IMAGE",
     "specialize_bracket",
     "specialize_kauffman",
+    "bracket_sum",
     "P",
     "g",
     "K2q",
@@ -91,6 +95,20 @@ def specialize_kauffman(word: ActivityWord) -> LaurentPoly2:
     return LaurentPoly2.term(1, ea, ez)
 
 
+def _tallied(cls, polys):
+    """One ``cls`` polynomial from the terms of ``polys``, summed in a dict."""
+    tally = {}
+    for poly in polys:
+        for key, c in poly.terms.items():
+            tally[key] = tally.get(key, 0) + c
+    return cls(tally)
+
+
+def bracket_sum(words: Iterable[ActivityWord]) -> LaurentPoly1:
+    """Sum of the bracket specializations of ``words``, built once at the end."""
+    return _tallied(LaurentPoly1, map(specialize_bracket, words))
+
+
 @lru_cache(maxsize=None)
 def P(q: int) -> LaurentPoly2:
     """Ladder matching sum; P(0) and P(1) are definitional constants."""
@@ -98,11 +116,9 @@ def P(q: int) -> LaurentPoly2:
         raise NegativeIndex(f"P needs q >= 0, got {q}")
     if q == 0:
         return LaurentPoly2({(1, -1): 1, (-1, -1): 1, (0, 0): -1})
-    total = specialize_kauffman(ActivityWord({"l": 1, "D": q - 1}))
-    for i in range(1, q):
-        word = ActivityWord({"d": 1, "L": i, "D": q - 1 - i})
-        total = total + specialize_kauffman(word)
-    return total
+    words = [ActivityWord({"l": 1, "D": q - 1})]
+    words += [ActivityWord({"d": 1, "L": i, "D": q - 1 - i}) for i in range(1, q)]
+    return _tallied(LaurentPoly2, map(specialize_kauffman, words))
 
 
 @lru_cache(maxsize=None)

@@ -271,17 +271,6 @@ class LaurentPoly1:
         return cls._make(lo, s, w, data)
 
     @classmethod
-    def _from_coeffs(cls, lo: int, coeffs: list[int], s: int = 1) -> "LaurentPoly1":
-        start, stop = 0, len(coeffs)
-        while start < stop and not coeffs[start]:
-            start += 1
-        while stop > start and not coeffs[stop - 1]:
-            stop -= 1
-        if start == stop:
-            return _ZERO
-        return cls._canonical(lo + s * start, s, *_pack(coeffs[start:stop]))
-
-    @classmethod
     def zero(cls) -> "LaurentPoly1":
         return _ZERO
 
@@ -292,7 +281,7 @@ class LaurentPoly1:
     @classmethod
     def term(cls, coeff: int, exp: int) -> "LaurentPoly1":
         """The monomial ``coeff * A^exp``."""
-        return cls._from_coeffs(exp, [coeff])
+        return cls._make(exp, 4, *_pack([coeff])) if coeff else _ZERO
 
     def _coeffs(self, s: int = 4) -> list[int]:
         """The run's coefficients, spread to stride ``s`` if that is finer."""
@@ -366,9 +355,8 @@ class LaurentPoly1:
         A one-byte stride-4 run plus or minus a one-byte monomial of its
         class that lies outside the run gains one byte at an end, with
         zero slots across any gap; subtracting -128 (byte ``0x80``) needs
-        a wider slot and is left to the general path.  Any other sum with
-        a monomial changes one coefficient of the unpacked run, and a sum
-        of two longer runs is one Kronecker sum.
+        a wider slot and is left to the general path.  Any other sum is
+        one Kronecker sum.
         """
         if not other._data:
             return self
@@ -379,19 +367,13 @@ class LaurentPoly1:
         (la, wa, a), (lb, wb, b) = (self._lo, self._w, self._data), (other._lo, other._w, other._data)
         lo = min(la, lb)
         s = 4 if self._s == other._s == 4 and (la - lb) % 4 == 0 else 1
-        if len(b) == wb:
-            if s == 4 and wa == wb == 1 and (sign > 0 or b != b"\x80"):
-                m = b if sign > 0 else b.translate(_NEGATED)
-                hi = la + 4 * (len(a) - 1)
-                if lb < la:
-                    return LaurentPoly1._make(lb, 4, 1, m + bytes((la - lb) // 4 - 1) + a)
-                if lb > hi:
-                    return LaurentPoly1._make(la, 4, 1, a + bytes((lb - hi) // 4 - 1) + m)
-            # adding a monomial changes one coefficient
-            coeffs = [0] * ((la - lo) // s) + self._coeffs(s)
-            coeffs += [0] * ((lb - lo) // s + 1 - len(coeffs))
-            coeffs[(lb - lo) // s] += sign * int.from_bytes(b, "little", signed=True)
-            return LaurentPoly1._from_coeffs(lo, coeffs, s)
+        if len(b) == wb and s == 4 and wa == wb == 1 and (sign > 0 or b != b"\x80"):
+            m = b if sign > 0 else b.translate(_NEGATED)
+            hi = la + 4 * (len(a) - 1)
+            if lb < la:
+                return LaurentPoly1._make(lb, 4, 1, m + bytes((la - lb) // 4 - 1) + a)
+            if lb > hi:
+                return LaurentPoly1._make(la, 4, 1, a + bytes((lb - hi) // 4 - 1) + m)
         hi = max(la + s * (self._span(s) - 1), lb + s * (other._span(s) - 1))
         n = (hi - lo) // s + 1
         k = max(wa, wb) + 1  # a sum needs one more bit than its terms

@@ -37,7 +37,7 @@ from .activity import ActivityWord, signed_letter
 from .braid import DEFAULT_CROSSING_CAP
 from .diagram import LinkDiagram
 from .errors import TooManyCrossings, UnbalancedGraph, UnsupportedWord
-from .kauffman import specialize_bracket
+from .kauffman import bracket_sum
 from .laurent import LaurentPoly1
 
 __all__ = [
@@ -201,10 +201,7 @@ def matching_word(g: OverlayGraph, matching: Matching) -> ActivityWord:
 
 def partition_function(g: OverlayGraph, max_crossings: int = DEFAULT_CROSSING_CAP) -> LaurentPoly1:
     """Dimer sum: specialized matching words over all perfect matchings."""
-    total = LaurentPoly1.zero()
-    for m in perfect_matchings(g, max_crossings):
-        total = total + specialize_bracket(matching_word(g, m))
-    return total
+    return bracket_sum(matching_word(g, m) for m in perfect_matchings(g, max_crossings))
 
 
 def overlay_to_dot(g: OverlayGraph) -> str:

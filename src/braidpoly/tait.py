@@ -11,6 +11,12 @@ say "lowest" with respect to that order:
   otherwise d (a loop edge closes its own one-edge cycle, hence l);
 * negative edges wear the bar.
 
+One rooted tree gives both: an outside edge's fundamental cycle is
+itself and the tree path between its ends, which climbing both ends
+towards the root finds where they meet; a tree edge's fundamental cut
+is itself and every outside edge whose cycle passes it.  So one climb
+per outside edge sets every letter of a tree's word.
+
 Summing the bracket specialization of the word over all spanning trees
 reproduces the bracket of the diagram.  The sum is independent of the
 edge order even though individual words are not.
@@ -24,7 +30,7 @@ from .activity import ActivityWord, signed_letter
 from .braid import DEFAULT_CROSSING_CAP
 from .diagram import LinkDiagram, dart
 from .errors import TooManyCrossings
-from .kauffman import specialize_bracket
+from .kauffman import bracket_sum
 from .laurent import LaurentPoly1
 
 __all__ = [
@@ -59,20 +65,8 @@ class TaitGraph:
         return TaitGraph(self.vertices, tuple(self.edges[i] for i in order))
 
 
-def _corner_faces(d: LinkDiagram, cid: int, corners: tuple[int, int]) -> tuple[int, int]:
-    return (
-        d.face_index[dart(cid, corners[0])],
-        d.face_index[dart(cid, corners[1])],
-    )
-
-
 def build_tait(d: LinkDiagram) -> TaitGraph:
-    vertices = tuple(sorted(f.id for f in d.faces if f.shaded))
-    edges = []
-    for c in d.crossings:
-        corners = (0, 2) if c.checkerboard_sign == 1 else (1, 3)
-        edges.append(TaitEdge(c.id, _corner_faces(d, c.id, corners), c.checkerboard_sign))
-    return TaitGraph(vertices, tuple(edges))
+    return _tait(d, True)
 
 
 def dual_tait(d: LinkDiagram) -> TaitGraph:
@@ -81,11 +75,19 @@ def dual_tait(d: LinkDiagram) -> TaitGraph:
     Swapping shaded and unshaded exchanges the quadrant pairs at every
     crossing, so each sign flips.
     """
-    vertices = tuple(sorted(f.id for f in d.faces if not f.shaded))
+    return _tait(d, False)
+
+
+def _tait(d: LinkDiagram, shaded: bool) -> TaitGraph:
+    face_index = d.face_index
+    vertices = tuple(sorted(f.id for f in d.faces if f.shaded == shaded))
     edges = []
     for c in d.crossings:
-        corners = (1, 3) if c.checkerboard_sign == 1 else (0, 2)
-        edges.append(TaitEdge(c.id, _corner_faces(d, c.id, corners), -c.checkerboard_sign))
+        sign = c.checkerboard_sign if shaded else -c.checkerboard_sign
+        # the crossing's faces of this shading: corners 0 and 2 if positive in it, else 1 and 3
+        corner = 0 if sign == 1 else 1
+        ends = (face_index[dart(c.id, corner)], face_index[dart(c.id, corner + 2)])
+        edges.append(TaitEdge(c.id, ends, sign))
     return TaitGraph(vertices, tuple(edges))
 
 
@@ -146,69 +148,53 @@ def _tree_stream(g: TaitGraph) -> Iterator[SpanningTree]:
         yield from recurse(0, list(range(n)), n, ())
 
 
-def _tree_adjacency(g: TaitGraph, tree: SpanningTree) -> dict[int, list[tuple[int, int]]]:
-    adj: dict[int, list[tuple[int, int]]] = {v: [] for v in g.vertices}
+def tree_activity_word(g: TaitGraph, tree: SpanningTree) -> ActivityWord:
+    """Activity letters of all edges, by one climb per edge outside the tree.
+
+    Raises ``ValueError`` when ``tree`` is not a spanning tree of ``g``.
+    """
+    vertices, edges = g.vertices, g.edges
+    if len(tree) != len(vertices) - 1:
+        raise ValueError(f"{len(tree)} edges cannot span a tree on {len(vertices)} vertices")
+    adj: dict[int, list[tuple[int, int]]] = {v: [] for v in vertices}
     for pos in tree:
-        u, v = g.edges[pos].endpoints
+        u, v = edges[pos].endpoints
         adj[u].append((v, pos))
         adj[v].append((u, pos))
-    return adj
-
-
-def _tree_path(adj, start: int, goal: int) -> set[int]:
-    """Edge positions on the unique tree path from start to goal."""
-    stack = [(start, -1, ())]
-    seen = {start}
-    while stack:
-        node, _, path = stack.pop()
-        if node == goal:
-            return set(path)
-        for nxt, pos in adj[node]:
-            if nxt not in seen:
-                seen.add(nxt)
-                stack.append((nxt, pos, path + (pos,)))
-    raise AssertionError("tree path must exist")
-
-
-def _cut_side(adj, tree: SpanningTree, removed: int, start: int) -> set[int]:
-    side = {start}
-    stack = [start]
-    while stack:
-        node = stack.pop()
-        for nxt, pos in adj[node]:
-            if pos != removed and nxt not in side:
-                side.add(nxt)
-                stack.append(nxt)
-    return side
-
-
-def tree_activity_word(g: TaitGraph, tree: SpanningTree) -> ActivityWord:
-    """Activity letters of all edges under the given tree."""
-    adj = _tree_adjacency(g, tree)
+    root = vertices[0]
+    up = {root: (root, -1, 0)}  # vertex -> (parent, tree edge to it, depth)
+    queue = [root]
+    for x in queue:
+        depth = up[x][2] + 1
+        for y, pos in adj[x]:
+            if y not in up:
+                up[y] = (x, pos, depth)
+                queue.append(y)
+    if len(up) != len(vertices):
+        raise ValueError(f"edges {sorted(tree)} hold a cycle and leave vertices unreached")
     letters = []
-    for pos, edge in enumerate(g.edges):
-        u, v = edge.endpoints
+    reconnected = set()  # tree edges whose cut holds a lower outside edge
+    for pos, edge in enumerate(edges):
         if pos in tree:
-            side = _cut_side(adj, tree, pos, u)
-            reconnecting = min(
-                j
-                for j, other in enumerate(g.edges)
-                if (other.endpoints[0] in side) != (other.endpoints[1] in side)
-            )
-            base = "L" if reconnecting == pos else "D"
-        else:
-            cycle = _tree_path(adj, u, v) | {pos}
-            base = "l" if min(cycle) == pos else "d"
-        letters.append(signed_letter(base, edge.sign))
+            continue
+        u, v = edge.endpoints
+        lowest = True
+        while u != v:
+            if up[u][2] < up[v][2]:
+                u, v = v, u
+            u, t, _ = up[u]
+            if t < pos:
+                lowest = False
+            else:
+                reconnected.add(t)
+        letters.append(signed_letter("l" if lowest else "d", edge.sign))
+    letters += [signed_letter("D" if t in reconnected else "L", edges[t].sign) for t in tree]
     return ActivityWord(letters)
 
 
 def thistlethwaite_sum(g: TaitGraph, max_edges: int = DEFAULT_CROSSING_CAP) -> LaurentPoly1:
     """Bracket of the underlying diagram as a sum over spanning trees."""
-    total = LaurentPoly1.zero()
-    for tree in spanning_trees(g, max_edges):
-        total = total + specialize_bracket(tree_activity_word(g, tree))
-    return total
+    return bracket_sum(tree_activity_word(g, tree) for tree in spanning_trees(g, max_edges))
 
 
 def tait_to_dot(g: TaitGraph) -> str:
