@@ -3,6 +3,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from braidpoly.activity import BASE_LETTERS, LETTERS, ActivityWord
+from braidpoly.braid import parse_braid
+from braidpoly.diagram import build_diagram
+from braidpoly.dimer import prepare_overlay
 from braidpoly.errors import BarredLetter, NegativeIndex, TooLarge
 from braidpoly.kauffman import (
     BRACKET_IMAGE,
@@ -19,6 +22,9 @@ from braidpoly.kauffman import (
     specialize_kauffman,
 )
 from braidpoly.laurent import LaurentPoly1, LaurentPoly2
+from braidpoly.oracle import bracket_state_sum
+from braidpoly.overlay import partition_function
+from braidpoly.tait import build_tait, thistlethwaite_sum
 
 A = LaurentPoly1.term
 az = LaurentPoly2.term
@@ -84,6 +90,26 @@ def test_specialization_and_ladder_sums_make_no_ring_product(monkeypatch):
     P.cache_clear()
     specialize_bracket(ActivityWord({"L": 300, "l~": 7, "D~": 2, "d": 1}))
     specialize_kauffman(ActivityWord({"L": 300, "l": 7, "D": 2, "d": 1}))
+    for q in range(41):
+        P(q)
+    assert calls == []
+
+
+def test_word_sums_make_no_ring_sum(monkeypatch):
+    word = parse_braid("s1^3 s2^3")
+    tait, overlay = build_tait(build_diagram(word)), prepare_overlay(word)
+    expected = bracket_state_sum(build_diagram(word))
+    calls = []
+    for cls in (LaurentPoly1, LaurentPoly2):
+        for name in ("__add__", "__sub__"):
+
+            def counted(*args, original=getattr(cls, name), label=f"{cls.__name__}.{name}"):
+                calls.append(label)
+                return original(*args)
+
+            monkeypatch.setattr(cls, name, counted)
+    P.cache_clear()
+    assert thistlethwaite_sum(tait) == partition_function(overlay) == expected
     for q in range(41):
         P(q)
     assert calls == []

@@ -165,6 +165,85 @@ def test_tree_stream_matches_brute_force_on_fixed_graphs():
     assert list(spanning_trees(lone)) == trees_by_brute_force(lone) == [frozenset()]
 
 
+def letters_by_definition(g, tree) -> list[str]:
+    """Each edge's letter from the definitions: a cut scan in the tree, a tree path outside."""
+    adj = {v: [] for v in g.vertices}
+    for pos in tree:
+        u, v = g.edges[pos].endpoints
+        adj[u].append((v, pos))
+        adj[v].append((u, pos))
+
+    def reach(start, skip):
+        """Vertices and tree-edge paths reachable from start without edge ``skip``."""
+        paths, stack = {start: ()}, [start]
+        while stack:
+            x = stack.pop()
+            for y, pos in adj[x]:
+                if pos != skip and y not in paths:
+                    paths[y] = paths[x] + (pos,)
+                    stack.append(y)
+        return paths
+
+    letters = []
+    for pos, edge in enumerate(g.edges):
+        u, v = edge.endpoints
+        if pos in tree:
+            side = reach(u, pos)
+            cut = [j for j, e in enumerate(g.edges) if (e.endpoints[0] in side) != (e.endpoints[1] in side)]
+            base = "L" if min(cut) == pos else "D"
+        else:
+            cycle = set(reach(u, None)[v]) | {pos}
+            base = "l" if min(cycle) == pos else "d"
+        letters.append(base if edge.sign > 0 else base + "~")
+    return letters
+
+
+def assert_letters_match_definitions(g):
+    # with only edge i negative, the word's one barred letter is edge i's
+    marked = [
+        TaitGraph(g.vertices, tuple(
+            TaitEdge(e.crossing_id, e.endpoints, -1 if j == i else 1) for j, e in enumerate(g.edges)
+        ))
+        for i in range(len(g.edges))
+    ]
+    for tree in spanning_trees(g):
+        expected = letters_by_definition(g, tree)
+        assert tree_activity_word(g, tree) == ActivityWord(expected)
+        for i, h in enumerate(marked):
+            barred = [x for x in tree_activity_word(h, tree) if x.endswith("~")]
+            assert barred == [expected[i].rstrip("~") + "~"], (tree, i)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(family_words(max_strands=5, max_exponent=3), connected_words()))
+def test_tree_letters_match_their_definitions(word):
+    d = build_diagram(word)
+    assert_letters_match_definitions(build_tait(d))
+    assert_letters_match_definitions(dual_tait(d))
+
+
+def test_tree_letters_match_their_definitions_with_loops_and_parallel_edges():
+    for text in ("s1 s2 s1 s2", "s1^2 s2^-3 s1 s3^2 s2^-1"):
+        d = build_diagram(parse_braid(text))
+        for g in (build_tait(d), dual_tait(d)):
+            ends = [e.endpoints for e in g.edges]
+            assert any(u == v for u, v in ends) or len(set(map(frozenset, ends))) < len(ends)
+            assert_letters_match_definitions(g)
+
+
+def test_tree_activity_word_refuses_a_set_that_is_not_a_spanning_tree():
+    # a triangle 1-2-3 with a pendant edge 3-4
+    g = TaitGraph((1, 2, 3, 4), tuple(
+        TaitEdge(k, ends, 1) for k, ends in enumerate(((1, 2), (2, 3), (3, 1), (3, 4)), 1)
+    ))
+    assert tree_activity_word(g, frozenset({0, 1, 3})) == ActivityWord(["L", "L", "d", "L"])
+    for tree in ({0, 1, 2, 3}, {0, 1}):
+        with pytest.raises(ValueError, match="cannot span a tree on 4 vertices"):
+            tree_activity_word(g, frozenset(tree))
+    with pytest.raises(ValueError, match="hold a cycle"):
+        tree_activity_word(g, frozenset({0, 1, 2}))
+
+
 def test_tree_stream_costs_what_it_lists():
     # a stream that leaves out edges the later ones cannot replace
     # explores dead branches: about 12 s on this word

@@ -11,7 +11,11 @@ from pathlib import Path
 
 from braidpoly import dimer, kauffman
 from braidpoly.braid import parse_braid
+from braidpoly.diagram import build_diagram
+from braidpoly.dimer import prepare_overlay
 from braidpoly.laurent import LaurentPoly1
+from braidpoly.overlay import partition_function
+from braidpoly.tait import build_tait, thistlethwaite_sum
 
 _PATH = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 _SPEC = importlib.util.spec_from_file_location("tracer", _PATH)
@@ -33,3 +37,12 @@ def test_tracer_records_the_det_path_and_restores_what_it_wrapped():
     ops = [t.counts[f"dimer.ops.{field}"] for field in ("muls", "adds", "divs")]
     assert (ops, sum(ops)) == ([25, 8, 0], 33)
     assert t.counts["laurent.mul.calls"] > 0
+
+
+def test_tracer_counts_the_enumeration_streams_and_word_specializations():
+    word = parse_braid("s1^3 s2^3")
+    with tracer.Tracer() as t:
+        thistlethwaite_sum(build_tait(build_diagram(word)))
+        partition_function(prepare_overlay(word))
+    assert (t.counts["tait.trees"], t.counts["overlay.matchings"]) == (9, 9)
+    assert t.counts["kauffman.specialize_bracket.calls"] == 18
