@@ -118,7 +118,7 @@ def P(q: int) -> LaurentPoly2:
         return LaurentPoly2({(1, -1): 1, (-1, -1): 1, (0, 0): -1})
     words = [ActivityWord({"l": 1, "D": q - 1})]
     words += [ActivityWord({"d": 1, "L": i, "D": q - 1 - i}) for i in range(1, q)]
-    return _tallied(LaurentPoly2, map(specialize_kauffman, words))
+    return LaurentPoly2.summed(map(specialize_kauffman, words))
 
 
 @lru_cache(maxsize=None)
@@ -128,8 +128,8 @@ def g(n: int) -> LaurentPoly2:
     if n == 0:
         return LaurentPoly2.one()
     if n == 1:
-        return LaurentPoly2({(0, 1): 1})
-    z = LaurentPoly2({(0, 1): 1})
+        return LaurentPoly2.term(1, 0, 1)
+    z = LaurentPoly2.term(1, 0, 1)
     return z * g(n - 1) - g(n - 2)
 
 
@@ -160,8 +160,8 @@ def _k2q_skein(q: int) -> LaurentPoly2:
         return P(0)
     if q == 1:
         return P(1)
-    z = LaurentPoly2({(0, 1): 1})
-    rung = LaurentPoly2({(q - 1, 1): 1})
+    z = LaurentPoly2.term(1, 0, 1)
+    rung = LaurentPoly2.term(1, q - 1, 1)
     return rung + z * _k2q_skein(q - 1) - _k2q_skein(q - 2)
 
 
@@ -173,21 +173,18 @@ def _k2q_prop(q: int) -> LaurentPoly2:
         return P(1)
     total = P(q)
     for i in range(q - 1):
-        total = total - LaurentPoly2({(0, q - 2 - i): 1}) * _k2q_prop(i)
+        total = total - LaurentPoly2.term(1, 0, q - 2 - i) * _k2q_prop(i)
     return total
 
 
 def _k2q_closed(q: int) -> LaurentPoly2:
     if q <= 1:
         return P(q)
-    total = P(q)
-    for i in range(q - 1):
-        total = total - P(i) * g(q - 2 - i)
-    return total
+    return P(q) - LaurentPoly2.summed(P(i) * g(q - 2 - i) for i in range(q - 1))
 
 
 def F2q(q: int, method: str = "skein") -> LaurentPoly2:
     """Writhe-normalized value a^-q K2q(q) for q >= 1."""
     if q < 1:
         raise NegativeIndex(f"F2q needs q >= 1, got {q}")
-    return LaurentPoly2({(-q, 0): 1}) * K2q(q, method)
+    return LaurentPoly2.term(1, -q, 0) * K2q(q, method)

@@ -1,15 +1,16 @@
-"""Exponential-time reference implementations.
+"""The exponential-time bracket state sum.
 
-Everything faster in this package is tested against the two functions
-here: the 2^c bracket state sum and a Laplace-expansion determinant.
+Everything faster in this package is tested against the 2^c state sum
+here, or against the Laplace-expansion determinant kept with the tests.
 Both exist to be obviously correct, not quick.  Caps keep them inside
 desk-scale runtimes, and the callers that need large inputs use the
 polynomial-time paths instead.  The state sum runs in one process.  It
 visits the states in Gray-code order, so each state re-smooths one
-crossing, walks each loop once, and counts the states by (#A, loops);
-the polynomial is built from those counts at the end.  18 crossings
-(``s1^9 s2^9``) take 1.1-1.5 s on a 2-core VM with Python 3.11, and
-every two more crossings take about four times as long.
+crossing and walks one loop to learn whether its loop count went up or
+down by one; it counts the states by (#A, loops), and the polynomial is
+built from those counts at the end.  18 crossings (``s1^9 s2^9``) take
+TIMING on a 2-core VM with Python 3.11, and every two more crossings
+take about four times as long.
 
 Smoothing convention (calibrated so the positive-kink closure comes
 out -A^3): the A-smoothing of a crossing joins slot 1 to slot 2 and
@@ -22,7 +23,7 @@ from __future__ import annotations
 
 from .braid import DEFAULT_CROSSING_CAP, BraidWord
 from .diagram import LinkDiagram, build_diagram
-from .errors import TooLarge, TooManyCrossings
+from .errors import TooManyCrossings
 from .laurent import LaurentPoly1
 
 __all__ = [
@@ -30,7 +31,6 @@ __all__ = [
     "check_state_sum",
     "jones_state_sum",
     "writhe_correction",
-    "cofactor_det",
 ]
 
 _LOOP_FACTOR = LaurentPoly1({2: -1, -2: -1})
@@ -62,8 +62,15 @@ def bracket_state_sum(d: LinkDiagram, max_crossings: int = DEFAULT_CROSSING_CAP)
     four ``smooth`` entries change.  The A-smoothing pairs each slot s
     with s ^ 3 and the B-smoothing with s ^ 1, so a flip toggles bit 1
     of all four.  Loops are the cycles of smooth . theta; the reverse
-    of a cycle is its image under theta, so a walk stamps both and
-    counts each loop once.  States are counted by (#A, loops), and the
+    of a cycle is its image under theta, so the all-B state's walk
+    stamps both and counts each loop once.  In a planar diagram,
+    re-smoothing one crossing merges two loops or splits one (each edge
+    of the cube of resolutions, Bar-Natan 2002).  So each later state
+    walks from dart ``base`` until the walk re-enters the flipped
+    crossing: at ``smooth[base]`` the loop closed without meeting the
+    crossing's other strand, a split, and the count goes up by one;
+    at either other dart both strands lie on one loop, a merge, and it
+    goes down by one.  States are counted by (#A, loops), and the
     polynomial is built from those counts at the end.
     """
     crossings = d.crossing_count
@@ -71,31 +78,37 @@ def bracket_state_sum(d: LinkDiagram, max_crossings: int = DEFAULT_CROSSING_CAP)
     theta = d.theta
     n_darts = 4 * crossings
     smooth = [dart ^ 1 for dart in range(n_darts)]  # every crossing B-smoothed
-    visited = [0] * n_darts
+    visited = [False] * n_darts
     # a loop holds at least one dart each way, so a state has at most 2c
     width = 2 * crossings + 1
     counts = [0] * ((crossings + 1) * width)
+    # the all-B state: walk every loop once
+    loops = 0
+    for start in range(n_darts):
+        if not visited[start]:
+            loops += 1
+            dart = start
+            while True:
+                back = theta[dart]
+                visited[dart] = visited[back] = True
+                dart = smooth[back]
+                if dart == start:
+                    break
+    counts[loops] += 1
     n_a = 0
-    for state in range(1 << crossings):
-        if state:
-            base = 4 * ((state & -state).bit_length() - 1)
-            smooth[base] ^= 2
-            smooth[base + 1] ^= 2
-            smooth[base + 2] ^= 2
-            smooth[base + 3] ^= 2
-            n_a += 1 if smooth[base] == base + 3 else -1
-        stamp = state + 1
-        loops = 0
-        for start in range(n_darts):
-            if visited[start] != stamp:
-                loops += 1
-                dart = start
-                while True:
-                    back = theta[dart]
-                    visited[dart] = visited[back] = stamp
-                    dart = smooth[back]
-                    if dart == start:
-                        break
+    for state in range(1, 1 << crossings):
+        crossing = (state & -state).bit_length() - 1
+        base = 4 * crossing
+        smooth[base] ^= 2
+        smooth[base + 1] ^= 2
+        smooth[base + 2] ^= 2
+        smooth[base + 3] ^= 2
+        n_a += 1 if smooth[base] == base + 3 else -1
+        # walk the loop out of dart base until it re-enters this crossing
+        back = theta[base]
+        while back >> 2 != crossing:
+            back = theta[smooth[back]]
+        loops += 1 if back == smooth[base] else -1
         counts[n_a * width + loops] += 1
     free_loops = d.free_loops
     total = LaurentPoly1.zero()
@@ -122,29 +135,3 @@ def jones_state_sum(w: BraidWord, max_crossings: int = DEFAULT_CROSSING_CAP) -> 
     check_state_sum(w.crossing_count, max_crossings)
     d = build_diagram(w)
     return writhe_correction(w.writhe) * bracket_state_sum(d, max_crossings)
-
-
-def cofactor_det(m: list[list[LaurentPoly1]], max_size: int = 10) -> LaurentPoly1:
-    """Determinant by first-row Laplace expansion; reference only."""
-    n = len(m)
-    if n > max_size:
-        raise TooLarge(f"{n}x{n} exceeds the cofactor cap {max_size}")
-    for row in m:
-        if len(row) != n:
-            raise TooLarge("matrix is not square")
-    if n == 0:
-        return LaurentPoly1.one()
-
-    def expand(rows: list[list[LaurentPoly1]]) -> LaurentPoly1:
-        if len(rows) == 1:
-            return rows[0][0]
-        total = LaurentPoly1.zero()
-        for j, entry in enumerate(rows[0]):
-            if entry.is_zero:
-                continue
-            minor = [row[:j] + row[j + 1 :] for row in rows[1:]]
-            term = entry * expand(minor)
-            total = total + term if j % 2 == 0 else total - term
-        return total
-
-    return expand([list(row) for row in m])

@@ -14,9 +14,10 @@ from braidpoly.braid import DEFAULT_CROSSING_CAP, MAX_DET_CROSSINGS
 from braidpoly.cli import run
 from braidpoly.diagram import build_diagram
 from braidpoly.kauffman import F2q
-from braidpoly.laurent import LAURENT1_JSON_SCHEMA, LAURENT2_JSON_SCHEMA, LaurentPoly1
+from braidpoly.laurent import LaurentPoly1
 
 from cli_child import child_env, cli_modules, modules_after, run_child
+from json_schemas import LAURENT1_JSON_SCHEMA, LAURENT2_JSON_SCHEMA
 from words import corpus_words
 
 TREFOIL = "A^-4 + A^-12 - A^-16"

@@ -26,10 +26,11 @@ from braidpoly.dimer import (
 from braidpoly.errors import DeterminantCheckFailed, NoKasteleynSolution, UnsupportedWord
 from braidpoly.kauffman import BRACKET_IMAGE
 from braidpoly.laurent import LaurentPoly1
-from braidpoly.oracle import bracket_state_sum, cofactor_det, jones_state_sum
+from braidpoly.oracle import bracket_state_sum, jones_state_sum
 from braidpoly.overlay import partition_function
 
 from overlay_parts import overlay_components
+from references import cofactor_det
 from words import corpus_words, family_words
 
 

@@ -1,7 +1,11 @@
+import gc
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from braidpoly import kauffman
 from braidpoly.activity import BASE_LETTERS, LETTERS, ActivityWord
 from braidpoly.braid import parse_braid
 from braidpoly.diagram import build_diagram
@@ -239,3 +243,27 @@ def test_k2q_minus_itself_is_zero(q):
         assert hash(diff) == hash(LaurentPoly2.zero())
         assert diff.terms == {} and list(diff.z_groups()) == []
         assert diff.to_json()["terms"] == [] and diff.to_text() == "0"
+
+
+def clear_kauffman_caches():
+    for value in vars(kauffman).values():
+        if callable(getattr(value, "cache_clear", None)):
+            value.cache_clear()
+
+
+@pytest.mark.parametrize("method", K2Q_METHODS)
+def test_a_kauffman_value_keeps_under_45_kb(method):
+    # a K2q(57) value kept 62 KB as one {a: coeff} dict per z; packed runs keep about 38 KB
+    clear_kauffman_caches()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        value = K2q(57, method)
+        clear_kauffman_caches()
+        gc.collect()
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert value == K2q(57, "skein")
+    assert kept < 45 * 1024, kept

@@ -4,12 +4,9 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from braidpoly.errors import NotDivisible
-from braidpoly.laurent import (
-    LAURENT1_JSON_SCHEMA,
-    LAURENT2_JSON_SCHEMA,
-    LaurentPoly1,
-    LaurentPoly2,
-)
+from braidpoly.laurent import LaurentPoly1, LaurentPoly2
+
+from json_schemas import LAURENT1_JSON_SCHEMA, LAURENT2_JSON_SCHEMA
 
 coeffs = st.integers(min_value=-50, max_value=50)
 exps = st.integers(min_value=-12, max_value=12)
@@ -438,9 +435,20 @@ def assert_groups_canonical(p):
     groups = list(p.z_groups())
     assert [ez for ez, _ in groups] == sorted({ez for _, ez in p.terms})
     assert all(group and all(group.values()) for _, group in groups)
+    # each packed run has nonzero ends, and steps by 2 exactly when its
+    # a exponents share one parity
+    for ez, group in groups:
+        lo, step, coeffs = p._groups[ez]
+        assert coeffs[0] and coeffs[-1] and lo == min(group)
+        assert step == (2 if len({ea % 2 for ea in group}) == 1 else 1)
+
+
+# the sum mixes parities (step 1); taking the second away again is step 2
+STEP_SWITCH = ({(0, 0): 1, (2, 0): 1}, {(1, 0): 1})
 
 
 @given(terms2, terms2)
+@example(*STEP_SWITCH)
 def test_poly2_ring_ops_match_dict_reference(p, q):
     a, b = LaurentPoly2(p), LaurentPoly2(q)
     for value, terms in (
@@ -458,6 +466,7 @@ def test_poly2_ring_ops_match_dict_reference(p, q):
 
 
 @given(terms2, terms2)
+@example(*STEP_SWITCH)
 def test_poly2_equality_and_hash_ignore_history(p, q):
     a, b = LaurentPoly2(p), LaurentPoly2(q)
     rebuilt = [

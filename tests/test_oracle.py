@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from braidpoly.braid import BraidWord, parse_braid
@@ -7,14 +7,11 @@ from braidpoly.diagram import build_diagram
 from braidpoly.dimer import bracket_via_det
 from braidpoly.errors import TooLarge, TooManyCrossings
 from braidpoly.laurent import LaurentPoly1
-from braidpoly.oracle import (
-    bracket_state_sum,
-    cofactor_det,
-    jones_state_sum,
-    writhe_correction,
-)
+from braidpoly.oracle import bracket_state_sum, jones_state_sum, writhe_correction
 from braidpoly.tait import build_tait, thistlethwaite_sum
-from words import connected_words
+from references import bracket_state_sum as full_walk_state_sum
+from references import cofactor_det
+from words import connected_words, family_words
 
 
 def bracket(text: str) -> LaurentPoly1:
@@ -125,6 +122,25 @@ def mixed_sign(word):
 def test_state_sum_matches_tree_sum_on_mixed_words(word):
     d = build_diagram(word)
     assert bracket_state_sum(d) == thistlethwaite_sum(build_tait(d))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.one_of(family_words(max_strands=5), connected_words()).filter(
+        lambda w: w.crossing_count <= 10
+    ),
+    st.integers(min_value=0, max_value=2),
+)
+# kinks: theta[base] is a dart of the flipped crossing itself
+@example(parse_braid("s1"), 0)
+@example(parse_braid("s1^-1"), 0)
+@example(BraidWord(1, ()), 0)
+@example(parse_braid("s1^3 s2^-2"), 2)
+@example(parse_braid("s1 s2^-1 s1 s2^-1"), 0)
+def test_one_walk_per_state_matches_the_full_walk(word, free_loops):
+    d = build_diagram(word)
+    d.free_loops += free_loops
+    assert bracket_state_sum(d) == full_walk_state_sum(d)
 
 
 @pytest.mark.parametrize(
