@@ -20,6 +20,8 @@ and its sign flips once for each negative image taken an odd number of
 times.  No ring product is made.  A sum of words, ``bracket_sum`` for
 the tree and matching sums and P(q) for the ladder, tallies those
 monomials by exponent and builds one polynomial, so it makes no ring sum.
+The ``closed`` method tallies its q - 1 products the same way, through
+``LaurentPoly2.summed``: one dense accumulator per power of z.
 
 The ladder polynomials themselves: P(q) sums the two-variable images of
 the matching words of the q-rung ladder; g(n) is the Chebyshev-like
@@ -70,7 +72,7 @@ KAUFFMAN_IMAGE: dict[str, LaurentPoly2] = {
 
 K2Q_METHODS = ("skein", "prop", "closed")
 
-# prop, the slowest method, takes 0.8-1.5 s at q = 120 and 3.0-3.5 s at q = 150 on a 2-core Xeon VM
+# prop, the slowest method, takes 0.46-0.51 s at q = 120 and 0.94-1.09 s at q = 150 on a 2-core Xeon VM
 MAX_Q = 120
 
 
@@ -139,7 +141,8 @@ def K2q(q: int, method: str = "skein") -> LaurentPoly2:
     The three methods are genuinely different recursions and serve as
     mutual cross-checks: ``skein`` walks the crossing-switch relation,
     ``prop`` peels lower torus values off P(q), and ``closed`` avoids
-    self-reference entirely via the g basis.
+    self-reference entirely via the g basis.  The value is packed, since
+    callers keep it.
     """
     if q < 0:
         raise NegativeIndex(f"K2q needs q >= 0, got {q}")
@@ -147,11 +150,8 @@ def K2q(q: int, method: str = "skein") -> LaurentPoly2:
         raise ValueError(f"unknown method {method!r}")
     if q > MAX_Q:
         raise TooLarge(f"q = {q} exceeds the cap {MAX_Q}")
-    if method == "skein":
-        return _k2q_skein(q)
-    if method == "prop":
-        return _k2q_prop(q)
-    return _k2q_closed(q)
+    value = {"skein": _k2q_skein, "prop": _k2q_prop, "closed": _k2q_closed}[method](q)
+    return value.packed()
 
 
 @lru_cache(maxsize=None)

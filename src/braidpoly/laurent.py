@@ -24,15 +24,14 @@ negation, so a run that holds it, or a subtraction of it, takes the
 Kronecker path.  The determinant path divides by nothing but units, so a
 quotient by any other value is schoolbook division of the coefficient lists.
 ``LaurentPoly2`` groups its terms by power of z: a dict from each z
-exponent to a packed run ``(lo, step, coeffs)``, the coefficients at
-a = lo, lo + step, ... as a tuple of ints with both ends nonzero.  The
-step is 2 when the group's a exponents share one parity, as in every
-group of every (2,q) torus value, so those runs are full: a ``K2q(57)``
-value keeps 38 KB under ``tracemalloc``, against 62 KB as one
-{a: coeff} dict per z.  A sum maps ``operator.add`` or ``sub`` over
-aligned runs, a product with a monomial moves ``lo`` and shares the
-tuples, and any other product or sum of many fills one dense
-accumulator per z.
+exponent to a canonical run ``(lo, step, coeffs)``, the coefficients at
+a = lo, lo + step, ... with both ends nonzero, step 2 when they share one
+parity, as in every (2,q) torus value.  A sum maps ``operator.add`` or
+``sub`` over aligned runs, a product with a monomial moves ``lo``, and
+any other product or sum of many fills one dense accumulator per z.
+``coeffs`` is a tuple of ints, or, in a value ``packed`` for keeping, an
+int64 array where every coefficient fits: ``K2q(57)`` keeps 17 KB so,
+against 38 KB as tuples and 62 KB as one {a: coeff} dict per z.
 
 Text and JSON are output formats only; nothing in the package reads a
 polynomial back.  Rendering conventions, fixed once and relied on by
@@ -467,27 +466,20 @@ def _add_run(acc: list, run: tuple) -> None:
         vals[:0] = [0] * -j
         acc[0], j = l, 0
     end = j + len(c)
-    if end > len(vals):
-        vals += [0] * (end - len(vals))
+    vals += [0] * (end - len(vals))
     vals[j:end] = map(add, vals[j:end], c)
 
 
 class LaurentPoly2:
-    """A Laurent polynomial in the two variables ``a`` and ``z``.
-
-    Stored as ``_groups``, a dict from z exponent to canonical run (a
-    one-term run has step 2), so equal polynomials have equal dicts and
-    ``==`` and ``hash`` compare runs without expanding ``terms``.
-    """
+    """A Laurent polynomial in the two variables ``a`` and ``z``, stored as
+    ``_groups``: {z exponent: canonical run}; a one-term run has step 2."""
 
     __slots__ = ("_groups",)
 
     def __init__(
         self, terms: Mapping[tuple[int, int], int] | Iterable[tuple[tuple[int, int], int]] = ()
     ):
-        if not isinstance(terms, dict):
-            terms = dict(terms)
-        monomials = (LaurentPoly2.term(c, ea, ez) for (ea, ez), c in terms.items())
+        monomials = (LaurentPoly2.term(c, ea, ez) for (ea, ez), c in dict(terms).items())
         self._groups = LaurentPoly2.summed(monomials)._groups
 
     @classmethod
@@ -534,10 +526,24 @@ class LaurentPoly2:
     def __eq__(self, other) -> bool:
         if not isinstance(other, LaurentPoly2):
             return NotImplemented
-        return self._groups == other._groups
+        # an array never equals a tuple, so a packed run is compared as a tuple
+        return self._groups == other._groups or self._plain() == other._plain()
 
     def __hash__(self) -> int:
-        return hash(frozenset(self._groups.items()))
+        return hash(frozenset(self._plain().items()))
+
+    def _plain(self) -> dict:
+        return {ez: (lo, s, tuple(c)) for ez, (lo, s, c) in self._groups.items()}
+
+    def packed(self) -> "LaurentPoly2":
+        """This value with each run that fits int64 slots held in an array."""
+        groups = {}
+        for ez, (lo, s, c) in self._groups.items():
+            try:
+                groups[ez] = lo, s, array("q", c)
+            except OverflowError:
+                groups[ez] = lo, s, c
+        return LaurentPoly2._make(groups)
 
     def __neg__(self) -> "LaurentPoly2":
         return self._shifted(0, 0, -1)
@@ -592,26 +598,17 @@ class LaurentPoly2:
                 (dz, (da, _, c)), = mono.items()
                 if len(c) == 1:
                     return poly._shifted(da, dz, c[0])
-        # one dense accumulator per z, indexed by a + z: Kauffman values keep a + z
-        # in one class mod 2, so it steps by 2 when each side's runs all do and share one
+        # one dense accumulator per z, indexed by a + z, at step 2 when both sides allow it
         kinds = [{(s, (lo + z) % 2) for z, (lo, s, _) in side.items()} for side in (a, b)]
         t = 2 if all(len(k) == 1 and min(k)[0] == 2 for k in kinds) else 1
-        # walk the terms of the side with fewer (term, run of the other) pairs
-        size_a, size_b = (sum(len(run[2]) for run in side.values()) for side in (a, b))
-        if size_a * len(b) > size_b * len(a):
-            a, b = b, a
         low_a, low_b = (min(lo + z for z, (lo, _, _) in side.items()) for side in (a, b))
         high = sum(max(lo + s * (len(c) - 1) + z for z, (lo, s, c) in x.items()) for x in (a, b))
         n = (high - low_a - low_b) // t + 1
         out = {z: [0] * n for z in {z1 + z2 for z1 in a for z2 in b}}
         # one-term runs of the other side add one product each, longer runs a slice
-        ones, runs = [], []
-        for z2, (l2, s2, c2) in b.items():
-            j2 = (l2 + z2 - low_b) // t
-            if len(c2) == 1:
-                ones.append((z2, j2, c2[0]))
-            else:
-                runs.append((z2, j2, s2 // t, s2 // t * (len(c2) - 1) + 1, c2))
+        runs = [(z2, (l2 + z2 - low_b) // t, s2 // t, c2) for z2, (l2, s2, c2) in b.items()]
+        ones = [(z2, j2, c2[0]) for z2, j2, _, c2 in runs if len(c2) == 1]
+        runs = [(z2, j2, st, st * (len(c2) - 1) + 1, c2) for z2, j2, st, c2 in runs if len(c2) > 1]
         for z1, (l1, s1, c1) in a.items():
             for i, x in enumerate(c1):
                 if x:

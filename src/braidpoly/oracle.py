@@ -9,7 +9,7 @@ visits the states in Gray-code order, so each state re-smooths one
 crossing and walks one loop to learn whether its loop count went up or
 down by one; it counts the states by (#A, loops), and the polynomial is
 built from those counts at the end.  18 crossings (``s1^9 s2^9``) take
-TIMING on a 2-core VM with Python 3.11, and every two more crossings
+0.17-0.25 s on a 2-core VM with Python 3.11, and every two more crossings
 take about four times as long.
 
 Smoothing convention (calibrated so the positive-kink closure comes

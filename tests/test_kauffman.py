@@ -253,7 +253,7 @@ def clear_kauffman_caches():
 
 @pytest.mark.parametrize("method", K2Q_METHODS)
 def test_a_kauffman_value_keeps_under_45_kb(method):
-    # a K2q(57) value kept 62 KB as one {a: coeff} dict per z; packed runs keep about 38 KB
+    # a K2q(57) value kept 62 KB as one {a: coeff} dict per z; packed runs keep about 17 KB
     clear_kauffman_caches()
     gc.collect()
     tracemalloc.start()

@@ -459,6 +459,10 @@ def test_poly2_ring_ops_match_dict_reference(p, q):
         (-a, {k: -c for k, c in ref_clean(p).items()}),
         (a - a, {}),
         (a * b - b * a, {}),
+        (a.packed(), ref_clean(p)),
+        (a.packed() * b, ref_mul2(p, q)),
+        (a + b.packed(), ref_add(p, q)),
+        (a.packed() - b.packed(), ref_add(p, q, -1)),
     ):
         assert value.terms == terms
         assert value == LaurentPoly2(terms)
@@ -477,11 +481,23 @@ def test_poly2_equality_and_hash_ignore_history(p, q):
         (a * b - b * a) + a,
         -(-a),
         LaurentPoly2(a.terms),
+        a.packed(),
+        (a + b - b).packed(),
     ]
     for value in rebuilt:
-        assert value == a
+        assert value == a and a == value
         assert hash(value) == hash(a)
         assert value.terms == a.terms
+
+
+def test_packed_runs_hold_int64_slots_where_every_coefficient_fits():
+    edge = 2**63
+    p = LaurentPoly2({(0, 0): edge - 1, (2, 0): -edge, (0, 1): edge, (0, 2): 3})
+    packed = p.packed()
+    kinds = {ez: type(coeffs).__name__ for ez, (_, _, coeffs) in packed._groups.items()}
+    assert kinds == {0: "array", 1: "tuple", 2: "array"}
+    assert packed == p and packed.terms == p.terms and packed.to_text() == p.to_text()
+    assert packed != p + LaurentPoly2.one()
 
 
 def test_poly2_terms_and_json_stay_flat():
