@@ -25,13 +25,13 @@ Kronecker path.  The determinant path divides by nothing but units, so a
 quotient by any other value is schoolbook division of the coefficient lists.
 ``LaurentPoly2`` groups its terms by power of z: a dict from each z
 exponent to a canonical run ``(lo, step, coeffs)``, the coefficients at
-a = lo, lo + step, ... with both ends nonzero, step 2 when they share one
-parity, as in every (2,q) torus value.  A sum maps ``operator.add`` or
-``sub`` over aligned runs, a product with a monomial moves ``lo``, and
-any other product or sum of many fills one dense accumulator per z.
-``coeffs`` is a tuple of ints, or, in a value ``packed`` for keeping, an
-int64 array where every coefficient fits: ``K2q(57)`` keeps 17 KB so,
-against 38 KB as tuples and 62 KB as one {a: coeff} dict per z.
+a = lo, lo + step, ... with both ends nonzero; step is 2 when those a
+exponents share a parity, as in every (2,q) torus value.  A sum maps
+``operator.add`` or ``sub`` over aligned runs, a product with a monomial
+moves ``lo``, and any other product or sum of many fills one dense
+accumulator per z.  ``coeffs`` is a tuple of ints, or, in a value
+``packed`` to be kept, an int64 array where every coefficient fits:
+``K2q(57)`` keeps 17 KB so, 38 KB as tuples, 62 KB as {a: coeff} dicts.
 
 Text and JSON are output formats only; nothing in the package reads a
 polynomial back.  Rendering conventions, fixed once and relied on by
@@ -471,8 +471,11 @@ def _add_run(acc: list, run: tuple) -> None:
 
 
 class LaurentPoly2:
-    """A Laurent polynomial in the two variables ``a`` and ``z``, stored as
-    ``_groups``: {z exponent: canonical run}; a one-term run has step 2."""
+    """A Laurent polynomial in the two variables ``a`` and ``z``.
+
+    ``_groups`` maps each z exponent to its canonical run, as described at
+    the top of this module; a one-term run has step 2.
+    """
 
     __slots__ = ("_groups",)
 
