@@ -103,9 +103,6 @@ class LinkDiagram:
         """Each arc once, as its two darts in increasing order."""
         return [(d1, d2) for d1, d2 in enumerate(self.theta) if d1 < d2]
 
-    def shaded_faces(self) -> list[Face]:
-        return [f for f in self.faces if f.shaded]
-
     def to_debug_json(self) -> dict:
         return {
             "word": self.word.to_text(),

@@ -13,8 +13,8 @@ components.
 Each matrix row is a map from column position to nonzero cell, a
 (Kasteleyn sign, letter) pair filled from the overlay's crossing
 rotation.  ``determinant`` is the one place a cell becomes its signed
-bracket image; the symbolic expansion reads the cells as they are, and
-the dense ``entries`` view exists only for printing.  Every image is a
+bracket image; the dense ``entries`` view exists only for printing, which
+shows a cell as its letter or as its image.  Every image is a
 unit +-A^k, and ``forward_determinant`` proves that one pass over the
 rows in crossing order, of Laplace peels and Gaussian steps on unit
 pivots, eliminates every family matrix.  It divides by nothing but
@@ -33,10 +33,8 @@ which ``bracket_sign`` reads.
 
 from __future__ import annotations
 
-from collections import Counter
 from collections.abc import Mapping, Sequence
 
-from .activity import ActivityWord
 from .braid import BraidWord
 from .diagram import build_diagram
 from .errors import DeterminantCheckFailed, NoKasteleynSolution
@@ -53,7 +51,6 @@ __all__ = [
     "adjacency_matrix",
     "forward_determinant",
     "determinant",
-    "symbolic_determinant",
     "bracket_sign",
     "bracket_via_det",
     "jones_via_det",
@@ -64,9 +61,9 @@ __all__ = [
 class OpCounter:
     """Tally of ring operations performed by the elimination.
 
-    A quotient by a unit +-A^k is a product with its inverse and counts
-    in ``muls``.  The elimination divides by nothing else, so ``divs``
-    is always 0; it stays because the benchmark's tracer reads it.
+    A quotient by a unit +-A^k counts in ``muls``, as the product with
+    its inverse would.  The elimination divides by nothing else, so
+    ``divs`` is always 0; it stays because the benchmark's tracer reads it.
     """
 
     __slots__ = ("muls", "adds", "divs")
@@ -319,8 +316,7 @@ def forward_determinant(
             (i,) = in_col.pop(c)
             target = live[i]
             old = target.get(j)
-            # a quotient by a unit is a product with its inverse
-            factor = target.pop(c) * -(pivot**-1)
+            factor = -target.pop(c).exact_div(pivot)
             value = factor * y if old is None else old + factor * y
             if value:
                 target[j] = value
@@ -351,37 +347,6 @@ def determinant(m: ModifiedAdjacencyMatrix, ops: OpCounter | None = None) -> Lau
     """Determinant after evaluation: each cell becomes its signed bracket image."""
     images = [{j: _SIGNED_IMAGE[cell] for j, cell in row.items()} for row in m.sparse]
     return forward_determinant(images, ops)
-
-
-def symbolic_determinant(m: ModifiedAdjacencyMatrix) -> dict[tuple, int]:
-    """Determinant as a signed sum of letter words.
-
-    Returned as word-key -> integer coefficient; the nonzero structure
-    is sparse enough on these graphs that plain first-row expansion is
-    fine.
-    """
-    n = len(m.rows)
-
-    def expand(row: int, cols: tuple[int, ...]) -> Counter:
-        if not cols:
-            return Counter({(): 1})
-        total: Counter = Counter()
-        for pos, j in enumerate(cols):
-            cell = m.sparse[row].get(j)
-            if cell is None:
-                continue
-            sign, letter = cell
-            parity = -1 if pos % 2 else 1
-            sub = expand(row + 1, cols[:pos] + cols[pos + 1 :])
-            for key, coeff in sub.items():
-                joined = Counter(dict(key))
-                joined[letter] += 1
-                new_key = ActivityWord(joined).key()
-                total[new_key] += parity * sign * coeff
-        return total
-
-    out = expand(0, tuple(range(n)))
-    return {key: coeff for key, coeff in out.items() if coeff}
 
 
 def bracket_sign(word: BraidWord, det: LaurentPoly1) -> int:

@@ -97,18 +97,13 @@ def specialize_kauffman(word: ActivityWord) -> LaurentPoly2:
     return LaurentPoly2.term(1, ea, ez)
 
 
-def _tallied(cls, polys):
-    """One ``cls`` polynomial from the terms of ``polys``, summed in a dict."""
-    tally = {}
-    for poly in polys:
-        for key, c in poly.terms.items():
-            tally[key] = tally.get(key, 0) + c
-    return cls(tally)
-
-
 def bracket_sum(words: Iterable[ActivityWord]) -> LaurentPoly1:
     """Sum of the bracket specializations of ``words``, built once at the end."""
-    return _tallied(LaurentPoly1, map(specialize_bracket, words))
+    tally: dict[int, int] = {}
+    for word in words:
+        for e, c in specialize_bracket(word).terms.items():
+            tally[e] = tally.get(e, 0) + c
+    return LaurentPoly1(tally)
 
 
 @lru_cache(maxsize=None)

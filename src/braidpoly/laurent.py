@@ -21,8 +21,8 @@ run.  A negation, or a product with -A^k, of a one-byte run is one
 to or subtracted from a one-byte stride-4 run, of its class and outside
 it, is one more byte at an end.  Byte 0x80 (-128) has no one-byte
 negation, so a run that holds it, or a subtraction of it, takes the
-Kronecker path.  The determinant path divides by nothing but units, so a
-quotient by any other value is schoolbook division of the coefficient lists.
+Kronecker path.  The determinant path divides by nothing but units, so
+a unit is the only divisor; any other raises ``NotDivisible``.
 ``LaurentPoly2`` groups its terms by power of z: a dict from each z
 exponent to a canonical run ``(lo, step, coeffs)``, the coefficients at
 a = lo, lo + step, ... with both ends nonzero; step is 2 when those a
@@ -148,28 +148,6 @@ def _unpack(data: bytes, w: int) -> list[int]:
     return run.tolist()
 
 
-def _long_division(num: list[int], den: list[int]) -> list[int]:
-    """Schoolbook division of coefficient runs, lowest coefficient first."""
-    rem = list(num)
-    deg_d = len(den) - 1
-    lead_d = den[-1]
-    quot = [0] * max(len(num) - deg_d, 0)
-    deg_r = len(rem) - 1
-    while deg_r >= 0:
-        if deg_r < deg_d:
-            raise NotDivisible("nonzero remainder")
-        c, r = divmod(rem[deg_r], lead_d)
-        if r != 0:
-            raise NotDivisible("leading coefficient does not divide")
-        e = deg_r - deg_d
-        quot[e] = c
-        for i, cd in enumerate(den):
-            rem[e + i] -= c * cd
-        while deg_r >= 0 and not rem[deg_r]:
-            deg_r -= 1
-    return quot
-
-
 class LaurentPoly1:
     """A Laurent polynomial in the single variable ``A``.
 
@@ -238,15 +216,6 @@ class LaurentPoly1:
         """The monomial ``coeff * A^exp``."""
         return cls._make(exp, 4, *_pack([coeff])) if coeff else _ZERO
 
-    def _coeffs(self, s: int = 4) -> list[int]:
-        """The run's coefficients, spread to stride ``s`` if that is finer."""
-        coeffs = _unpack(self._data, self._w)
-        if s < self._s and len(coeffs) > 1:
-            spread = [0] * (4 * len(coeffs) - 3)
-            spread[::4] = coeffs
-            return spread
-        return coeffs
-
     def _span(self, s: int) -> int:
         """Slot count of the run at stride ``s``."""
         return (len(self._data) // self._w - 1) * (self._s // s) + 1
@@ -254,7 +223,7 @@ class LaurentPoly1:
     @property
     def terms(self) -> dict[int, int]:
         lo, s = self._lo, self._s
-        return {lo + s * i: c for i, c in enumerate(self._coeffs()) if c}
+        return {lo + s * i: c for i, c in enumerate(_unpack(self._data, self._w)) if c}
 
     @property
     def is_zero(self) -> bool:
@@ -367,52 +336,18 @@ class LaurentPoly1:
         value = _to_int(a, wa, k, self._s // s) * _to_int(b, wb, k, other._s // s)
         return LaurentPoly1._canonical(lo, s, *_from_int(value, k, na + nb - 1))
 
-    def __pow__(self, n: int) -> "LaurentPoly1":
-        if n < 0:
-            if self._data not in _UNIT_RUNS:
-                raise ValueError("negative powers only exist for unit monomials")
-            # +-1 is its own inverse, so only the exponent changes sign
-            inverse = LaurentPoly1._make(-self._lo, 4, self._w, self._data)
-            return inverse if n == -1 else inverse**-n
-        out = LaurentPoly1.one()
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
-    def mirror(self) -> "LaurentPoly1":
-        """Substitute ``A -> A^-1`` (the value of the mirror diagram)."""
-        w, data = self._w, self._data
-        if not data:
-            return self
-        out = bytearray(len(data))
-        for j in range(w):
-            out[j::w] = data[j::w][::-1]
-        hi = self._lo + self._s * (len(data) // w - 1)
-        return LaurentPoly1._make(-hi, self._s, w, bytes(out))
-
     def exact_div(self, divisor: "LaurentPoly1") -> "LaurentPoly1":
-        """Exact division, raising :class:`NotDivisible` on any remainder.
+        """The quotient by a unit ``+-A^k``: the run moved down by k, with its sign.
 
-        A unit ``+-A^k`` divides anything, by a shift.  Any other divisor
-        goes to schoolbook division, whose quotient must again have
-        integer coefficients.  Two stride-4 runs divide as runs;
-        otherwise both are read at stride 1.
+        The determinant path divides by nothing else, so any other divisor,
+        zero included, raises :class:`NotDivisible`.
         """
-        b = divisor._data
-        if not b:
-            raise NotDivisible("division by zero")
+        sign = _UNIT_RUNS.get(divisor._data)
+        if sign is None:
+            raise NotDivisible(f"{divisor.to_text()} is not a unit +-A^k")
         if not self._data:
-            return _ZERO
-        lo = self._lo - divisor._lo
-        if b in _UNIT_RUNS:
-            return self._scaled(lo, _UNIT_RUNS[b])
-        s = 4 if self._s == divisor._s == 4 else 1
-        quot = _long_division(self._coeffs(s), divisor._coeffs(s))
-        return LaurentPoly1._canonical(lo, s, *_pack(quot))
+            return self
+        return self._scaled(self._lo - divisor._lo, sign)
 
     def to_text(self) -> str:
         terms = self.terms
@@ -608,19 +543,19 @@ class LaurentPoly2:
         high = sum(max(lo + s * (len(c) - 1) + z for z, (lo, s, c) in x.items()) for x in (a, b))
         n = (high - low_a - low_b) // t + 1
         out = {z: [0] * n for z in {z1 + z2 for z1 in a for z2 in b}}
-        # one-term runs of the other side add one product each, longer runs a slice
-        runs = [(z2, (l2 + z2 - low_b) // t, s2 // t, c2) for z2, (l2, s2, c2) in b.items()]
-        ones = [(z2, j2, c2[0]) for z2, j2, _, c2 in runs if len(c2) == 1]
-        runs = [(z2, j2, st, st * (len(c2) - 1) + 1, c2) for z2, j2, st, c2 in runs if len(c2) > 1]
+        # the other side term by term: in the package it is g(k), one term per run
+        terms = [
+            (z2, (l2 + z2 + s2 * i - low_b) // t, y)
+            for z2, (l2, s2, c2) in b.items()
+            for i, y in enumerate(c2)
+            if y
+        ]
         for z1, (l1, s1, c1) in a.items():
             for i, x in enumerate(c1):
                 if x:
                     j1 = (l1 + z1 + s1 * i - low_a) // t
-                    for z2, j2, y in ones:
+                    for z2, j2, y in terms:
                         out[z1 + z2][j1 + j2] += x * y
-                    for z2, j2, stride, span, c2 in runs:
-                        acc, j, k = out[z1 + z2], j1 + j2, j1 + j2 + span
-                        acc[j:k:stride] = map(add, acc[j:k:stride], map(x.__mul__, c2))
         runs = ((ez, _trimmed(low_a + low_b - ez, t, acc)) for ez, acc in out.items())
         return LaurentPoly2._make({ez: run for ez, run in runs if run})
 

@@ -60,10 +60,6 @@ class TaitGraph:
     def __init__(self, vertices: tuple[int, ...], edges: tuple[TaitEdge, ...]):
         self.vertices, self.edges = vertices, edges
 
-    def reordered(self, order: list[int]) -> "TaitGraph":
-        """Same graph with edges permuted; activity words may change."""
-        return TaitGraph(self.vertices, tuple(self.edges[i] for i in order))
-
 
 def build_tait(d: LinkDiagram) -> TaitGraph:
     return _tait(d, True)

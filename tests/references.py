@@ -1,12 +1,18 @@
 """Exponential-time references that the package's own paths are tested against.
 
-``bracket_state_sum`` re-walks every loop of every state, and
-``cofactor_det`` expands a determinant along its first row; both exist to
-be obviously correct, not quick.
+``bracket_state_sum`` re-walks every loop of every state, ``cofactor_det``
+expands a determinant along its first row, and ``symbolic_determinant``
+expands the letter matrix into signed letter words; all three exist to
+be obviously correct, not quick.  ``mirror`` and ``power`` are the ring
+operations the tests use that the package does not.
 """
 
+from collections import Counter
+
+from braidpoly.activity import ActivityWord
 from braidpoly.braid import DEFAULT_CROSSING_CAP
 from braidpoly.diagram import LinkDiagram
+from braidpoly.dimer import ModifiedAdjacencyMatrix
 from braidpoly.errors import TooLarge
 from braidpoly.laurent import LaurentPoly1
 from braidpoly.oracle import check_state_sum
@@ -70,7 +76,6 @@ def bracket_state_sum(d: LinkDiagram, max_crossings: int = DEFAULT_CROSSING_CAP)
     return total
 
 
-
 def cofactor_det(m: list[list[LaurentPoly1]], max_size: int = 10) -> LaurentPoly1:
     """Determinant by first-row Laplace expansion; reference only."""
     n = len(m)
@@ -95,3 +100,47 @@ def cofactor_det(m: list[list[LaurentPoly1]], max_size: int = 10) -> LaurentPoly
         return total
 
     return expand([list(row) for row in m])
+
+
+def symbolic_determinant(m: ModifiedAdjacencyMatrix) -> dict[tuple, int]:
+    """Determinant as a signed sum of letter words.
+
+    Returned as word-key -> integer coefficient; the nonzero structure
+    is sparse enough on these graphs that plain first-row expansion is
+    fine.
+    """
+    n = len(m.rows)
+
+    def expand(row: int, cols: tuple[int, ...]) -> Counter:
+        if not cols:
+            return Counter({(): 1})
+        total: Counter = Counter()
+        for pos, j in enumerate(cols):
+            cell = m.sparse[row].get(j)
+            if cell is None:
+                continue
+            sign, letter = cell
+            parity = -1 if pos % 2 else 1
+            sub = expand(row + 1, cols[:pos] + cols[pos + 1 :])
+            for key, coeff in sub.items():
+                joined = Counter(dict(key))
+                joined[letter] += 1
+                new_key = ActivityWord(joined).key()
+                total[new_key] += parity * sign * coeff
+        return total
+
+    out = expand(0, tuple(range(n)))
+    return {key: coeff for key, coeff in out.items() if coeff}
+
+
+def mirror(p: LaurentPoly1) -> LaurentPoly1:
+    """``p`` with A -> A^-1: the value of the mirror diagram."""
+    return LaurentPoly1({-e: c for e, c in p.terms.items()})
+
+
+def power(p: LaurentPoly1, n: int) -> LaurentPoly1:
+    """``p`` to the power n >= 0, by repeated products."""
+    out = LaurentPoly1.one()
+    for _ in range(n):
+        out = out * p
+    return out

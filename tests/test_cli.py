@@ -351,6 +351,15 @@ def test_package_names_resolve_on_first_use(monkeypatch):
     assert braidpoly.jones_via_det is namespace["jones_via_det"]
 
 
+@pytest.mark.parametrize("command", ["jones", "bracket", "matrix", "graph", "verify"])
+def test_one_strand_above_the_default_splits_the_closure(capsys, command):
+    # the default is one more than the highest generator, 3 here; a fourth
+    # strand meets no crossing, so the closure is a split link
+    code, out, err = invoke(capsys, command, "--braid", "s1^3 s2^2", "--strands", "4")
+    assert (code, out) == (2, "")
+    assert "closure of 's1^3 s2^2' on 4 strands splits" in err
+
+
 @pytest.mark.parametrize(
     "argv, code",
     [

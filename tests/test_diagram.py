@@ -11,6 +11,10 @@ from braidpoly.errors import ColoringContradiction, DisconnectedLink
 from words import connected_words, corpus_words, family_words
 
 
+def shaded_faces(d):
+    return [f for f in d.faces if f.shaded]
+
+
 def dart(k: int, s: int) -> int:
     """Slot s of crossing k, as the diagram numbers its darts."""
     return 4 * (k - 1) + s
@@ -20,7 +24,7 @@ def test_single_crossing_closure():
     d = build_diagram(parse_braid("s1"))
     assert d.crossing_count == 1
     assert len(d.faces) == 3
-    assert len(d.shaded_faces()) == 1
+    assert len(shaded_faces(d)) == 1
     assert d.crossings[0].oriented_sign == 1
     assert d.crossings[0].checkerboard_sign == 1
 
@@ -29,7 +33,7 @@ def test_trefoil_structure():
     d = build_diagram(parse_braid("s1^3"))
     assert d.crossing_count == 3
     assert len(d.faces) == 5
-    assert len(d.shaded_faces()) == 3
+    assert len(shaded_faces(d)) == 3
 
     pairs = {frozenset(a) for a in d.arcs}
     assert pairs == {
@@ -54,7 +58,7 @@ def test_trefoil_structure():
     assert frozenset(outer.corners) == frozenset({dart(1, 1), dart(3, 1), dart(2, 1)})
     assert not outer.shaded
 
-    shaded = {frozenset(f.corners) for f in d.shaded_faces()}
+    shaded = {frozenset(f.corners) for f in shaded_faces(d)}
     assert shaded == {
         frozenset({dart(1, 0), dart(3, 2)}),
         frozenset({dart(1, 2), dart(2, 0)}),
@@ -100,7 +104,7 @@ def test_unknot_diagram():
     assert d.free_loops == 1
     assert len(d.faces) == 2
     assert not d.faces[d.outer_face].shaded
-    assert len(d.shaded_faces()) == 1
+    assert len(shaded_faces(d)) == 1
 
 
 def test_debug_json_shape():

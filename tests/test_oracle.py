@@ -10,7 +10,7 @@ from braidpoly.laurent import LaurentPoly1
 from braidpoly.oracle import bracket_state_sum, jones_state_sum, writhe_correction
 from braidpoly.tait import build_tait, thistlethwaite_sum
 from references import bracket_state_sum as full_walk_state_sum
-from references import cofactor_det
+from references import cofactor_det, mirror
 from words import connected_words, family_words
 
 
@@ -98,10 +98,10 @@ def test_jones_state_sum_checks_the_cap_before_building(monkeypatch):
 @settings(max_examples=30, deadline=None)
 @given(connected_words())
 def test_mirror_property(word):
-    mirror = BraidWord(word.strands, tuple((i, -m) for i, m in word.syllables))
-    assert bracket_state_sum(build_diagram(mirror)) == bracket_state_sum(
-        build_diagram(word)
-    ).mirror()
+    mirrored = BraidWord(word.strands, tuple((i, -m) for i, m in word.syllables))
+    assert bracket_state_sum(build_diagram(mirrored)) == mirror(
+        bracket_state_sum(build_diagram(word))
+    )
 
 
 @settings(max_examples=30, deadline=None)

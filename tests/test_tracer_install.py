@@ -37,6 +37,8 @@ def test_tracer_records_the_det_path_and_restores_what_it_wrapped():
     ops = [t.counts[f"dimer.ops.{field}"] for field in ("muls", "adds", "divs")]
     assert (ops, sum(ops)) == ([25, 8, 0], 33)
     assert t.counts["laurent.mul.calls"] > 0
+    # one quotient by a unit pivot per elimination step: c - n + 1
+    assert t.counts["laurent.exact_div.calls"] == 8
 
 
 def test_tracer_counts_the_enumeration_streams_and_word_specializations():
