@@ -17,27 +17,32 @@ word of the single-crossing closure is l, and its ladder value is a^-1.
 Every image is one signed monomial, so a word specializes to one too:
 its exponent is the sum over letters of exponent times multiplicity,
 and its sign flips once for each negative image taken an odd number of
-times.  No ring product is made.  A sum of words, ``bracket_sum`` for
-the tree and matching sums and P(q) for the ladder, tallies those
-monomials by exponent and builds one polynomial, so it makes no ring sum.
-The ``closed`` method tallies its q - 1 products the same way, through
-``LaurentPoly2.summed``: one dense accumulator per power of z.
+times.  No ring product is made.  ``bracket_sum``, for the tree and
+matching sums, tallies those monomials by exponent and builds one
+polynomial, so it makes no ring sum.  The ``closed`` method tallies its
+q - 1 products the same way, through ``LaurentPoly2.summed``: one dense
+accumulator per power of z.
 
-The ladder polynomials themselves: P(q) sums the two-variable images of
-the matching words of the q-rung ladder; g(n) is the Chebyshev-like
-z-recursion; K2q gives the unnormalized (2,q) torus value by three
-independent routes that must agree; F2q applies the a^-writhe
-normalization.
+The ladder polynomials themselves: P(q) is the sum of the two-variable
+images of the q matching words of the q-rung ladder, l D^(q-1) and
+d L^i D^(q-1-i) for 1 <= i < q; it writes their monomials a^-1 z^(q-1)
+and a^i z^(q-i) directly.  g(n) is the Chebyshev-like z-recursion.  K2q
+gives the unnormalized (2,q) torus value by three independent routes
+that must agree, each in about 3q ring operations: ``prop`` makes
+3q - 2, keeping a running sum of the lower values instead of peeling
+each one off P(q) again.  F2q applies the a^-writhe normalization.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable
 
-from .activity import ActivityWord, is_barred
 from .errors import BarredLetter, NegativeIndex, TooLarge
 from .laurent import LaurentPoly1, LaurentPoly2
+
+if TYPE_CHECKING:
+    from .activity import ActivityWord
 
 __all__ = [
     "BRACKET_IMAGE",
@@ -59,7 +64,8 @@ _BRACKET_TERM = {
     "D": (1, 1), "d~": (1, 1), "d": (1, -1), "D~": (1, -1),
 }
 
-# letter -> (a exponent, z exponent) of its two-variable image, coefficient 1
+# letter -> (a exponent, z exponent) of its two-variable image, coefficient 1;
+# a barred letter has none
 _KAUFFMAN_EXP = {"L": (1, 0), "l": (-1, 0), "D": (0, 1), "d": (0, 1)}
 
 BRACKET_IMAGE: dict[str, LaurentPoly1] = {
@@ -72,7 +78,8 @@ KAUFFMAN_IMAGE: dict[str, LaurentPoly2] = {
 
 K2Q_METHODS = ("skein", "prop", "closed")
 
-# prop, the slowest method, takes 0.46-0.51 s at q = 120 and 0.94-1.09 s at q = 150 on a 2-core Xeon VM
+# closed, the slowest method, takes 0.08-0.11 s at q = 120 and 0.13-0.14 s at q = 150,
+# from cleared caches on a 2-core Xeon VM; prop takes 0.05 s and 0.08-0.13 s
 MAX_Q = 120
 
 
@@ -89,9 +96,10 @@ def specialize_bracket(word: ActivityWord) -> LaurentPoly1:
 def specialize_kauffman(word: ActivityWord) -> LaurentPoly2:
     ea = ez = 0
     for letter, mult in word.key():
-        if is_barred(letter):
+        image = _KAUFFMAN_EXP.get(letter)
+        if image is None:
             raise BarredLetter(f"{letter} has no two-variable image")
-        da, dz = _KAUFFMAN_EXP[letter]
+        da, dz = image
         ea += da * mult
         ez += dz * mult
     return LaurentPoly2.term(1, ea, ez)
@@ -113,9 +121,8 @@ def P(q: int) -> LaurentPoly2:
         raise NegativeIndex(f"P needs q >= 0, got {q}")
     if q == 0:
         return LaurentPoly2({(1, -1): 1, (-1, -1): 1, (0, 0): -1})
-    words = [ActivityWord({"l": 1, "D": q - 1})]
-    words += [ActivityWord({"d": 1, "L": i, "D": q - 1 - i}) for i in range(1, q)]
-    return LaurentPoly2.summed(map(specialize_kauffman, words))
+    # the word l D^(q-1) gives a^-1 z^(q-1), and d L^i D^(q-1-i) gives a^i z^(q-i)
+    return LaurentPoly2({(-1, q - 1): 1, **{(i, q - i): 1 for i in range(1, q)}})
 
 
 @lru_cache(maxsize=None)
@@ -135,9 +142,9 @@ def K2q(q: int, method: str = "skein") -> LaurentPoly2:
 
     The three methods are genuinely different recursions and serve as
     mutual cross-checks: ``skein`` walks the crossing-switch relation,
-    ``prop`` peels lower torus values off P(q), and ``closed`` avoids
-    self-reference entirely via the g basis.  The value is packed, since
-    callers keep it.
+    ``prop`` takes a running sum of lower torus values off P(q), and
+    ``closed`` avoids self-reference entirely via the g basis.  The value
+    is packed, since callers keep it.
     """
     if q < 0:
         raise NegativeIndex(f"K2q needs q >= 0, got {q}")
@@ -162,14 +169,18 @@ def _k2q_skein(q: int) -> LaurentPoly2:
 
 @lru_cache(maxsize=None)
 def _k2q_prop(q: int) -> LaurentPoly2:
+    """K(q) = P(q) - S(q - 2), where S(m) = z^m K(0) + ... + z K(m - 1) + K(m).
+
+    S(m) = z S(m - 1) + K(m) keeps the sum one level at a time, with
+    S(-1) = 0, so K(q) takes 3q - 2 ring operations.
+    """
     if q == 0:
         return P(0)
-    if q == 1:
-        return P(1)
-    total = P(q)
-    for i in range(q - 1):
-        total = total - LaurentPoly2.term(1, 0, q - 2 - i) * _k2q_prop(i)
-    return total
+    z = LaurentPoly2.term(1, 0, 1)
+    older, last = LaurentPoly2.zero(), P(0)  # S(m - 2) and S(m - 1)
+    for m in range(1, q):
+        older, last = last, z * last + (P(m) - older)
+    return P(q) - older
 
 
 def _k2q_closed(q: int) -> LaurentPoly2:

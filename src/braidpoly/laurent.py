@@ -29,9 +29,11 @@ a = lo, lo + step, ... with both ends nonzero; step is 2 when those a
 exponents share a parity, as in every (2,q) torus value.  A sum maps
 ``operator.add`` or ``sub`` over aligned runs, a product with a monomial
 moves ``lo``, and any other product or sum of many fills one dense
-accumulator per z.  ``coeffs`` is a tuple of ints, or, in a value
-``packed`` to be kept, an int64 array where every coefficient fits:
-``K2q(57)`` keeps 17 KB so, 38 KB as tuples, 62 KB as {a: coeff} dicts.
+accumulator per z.  ``coeffs`` is a tuple of ints.  A value ``packed``
+to be kept holds all its runs in one int64 array, [z, lo, step, n,
+c_0 ... c_(n-1)] per run, unless a coefficient does not fit int64, and
+reads them back as tuples when used: ``K2q(57)`` keeps 9 KB so, against
+38 KB as tuples.
 
 Text and JSON are output formats only; nothing in the package reads a
 polynomial back.  Rendering conventions, fixed once and relied on by
@@ -417,22 +419,39 @@ class LaurentPoly2:
     def __init__(
         self, terms: Mapping[tuple[int, int], int] | Iterable[tuple[tuple[int, int], int]] = ()
     ):
-        monomials = (LaurentPoly2.term(c, ea, ez) for (ea, ez), c in dict(terms).items())
-        self._groups = LaurentPoly2.summed(monomials)._groups
+        if not isinstance(terms, dict):
+            terms = dict(terms)
+        rows: dict[int, dict[int, int]] = {}
+        for (ea, ez), c in terms.items():
+            if c:
+                rows.setdefault(ez, {})[ea] = c
+        groups = {}
+        for ez, row in rows.items():
+            if len(row) == 1:
+                (ea, c), = row.items()
+                groups[ez] = ea, 2, (c,)
+                continue
+            lo = min(row)
+            coeffs = [0] * (max(row) - lo + 1)
+            for ea, c in row.items():
+                coeffs[ea - lo] = c
+            groups[ez] = _trimmed(lo, 1, coeffs)
+        self._groups = groups
 
     @classmethod
     def _make(cls, groups: dict) -> "LaurentPoly2":
-        out = object.__new__(cls)
+        # unpacked whatever the class it is called through, as every result is
+        out = object.__new__(LaurentPoly2)
         out._groups = groups
         return out
 
     @classmethod
     def zero(cls) -> "LaurentPoly2":
-        return cls()
+        return cls._make({})
 
     @classmethod
     def one(cls) -> "LaurentPoly2":
-        return cls({(0, 0): 1})
+        return cls.term(1, 0, 0)
 
     @classmethod
     def summed(cls, polys: Iterable["LaurentPoly2"]) -> "LaurentPoly2":
@@ -464,24 +483,23 @@ class LaurentPoly2:
     def __eq__(self, other) -> bool:
         if not isinstance(other, LaurentPoly2):
             return NotImplemented
-        # an array never equals a tuple, so a packed run is compared as a tuple
-        return self._groups == other._groups or self._plain() == other._plain()
+        return self._groups == other._groups
 
     def __hash__(self) -> int:
-        return hash(frozenset(self._plain().items()))
-
-    def _plain(self) -> dict:
-        return {ez: (lo, s, tuple(c)) for ez, (lo, s, c) in self._groups.items()}
+        return hash(frozenset(self._groups.items()))
 
     def packed(self) -> "LaurentPoly2":
-        """This value with each run that fits int64 slots held in an array."""
-        groups = {}
+        """This value held in one int64 array, or as it is if a coefficient does not fit."""
+        flat = []
         for ez, (lo, s, c) in self._groups.items():
-            try:
-                groups[ez] = lo, s, array("q", c)
-            except OverflowError:
-                groups[ez] = lo, s, c
-        return LaurentPoly2._make(groups)
+            flat += ez, lo, s, len(c), *c
+        try:
+            flat = array("q", flat)
+        except OverflowError:
+            return self
+        out = object.__new__(_PackedPoly2)
+        out._flat = flat
+        return out
 
     def __neg__(self) -> "LaurentPoly2":
         return self._shifted(0, 0, -1)
@@ -574,6 +592,25 @@ class LaurentPoly2:
 
     def __repr__(self) -> str:
         return f"LaurentPoly2({self.to_text()!r})"
+
+
+class _PackedPoly2(LaurentPoly2):
+    """A kept value: each run as [z, lo, step, n, c_0 ... c_(n-1)] in one int64 array.
+
+    ``_groups`` reads the runs back on each use, so every method of the
+    base class works unchanged and returns an unpacked value.
+    """
+
+    __slots__ = ("_flat",)
+
+    @property
+    def _groups(self) -> dict:
+        flat, groups, i = self._flat, {}, 0
+        while i < len(flat):
+            ez, lo, s, n = flat[i : i + 4]
+            groups[ez] = lo, s, tuple(flat[i + 4 : i + 4 + n])
+            i += 4 + n
+        return groups
 
 
 # ---------------------------------------------------------------- rendering

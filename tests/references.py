@@ -3,8 +3,9 @@
 ``bracket_state_sum`` re-walks every loop of every state, ``cofactor_det``
 expands a determinant along its first row, and ``symbolic_determinant``
 expands the letter matrix into signed letter words; all three exist to
-be obviously correct, not quick.  ``mirror`` and ``power`` are the ring
-operations the tests use that the package does not.
+be obviously correct, not quick.  ``ladder_words`` writes out the
+matching words of the q-rung ladder that ``P(q)`` sums.  ``mirror`` and
+``power`` are the ring operations the tests use that the package does not.
 """
 
 from collections import Counter
@@ -131,6 +132,12 @@ def symbolic_determinant(m: ModifiedAdjacencyMatrix) -> dict[tuple, int]:
 
     out = expand(0, tuple(range(n)))
     return {key: coeff for key, coeff in out.items() if coeff}
+
+
+def ladder_words(q: int) -> list[ActivityWord]:
+    """The q matching words of the q-rung ladder, q >= 1: l D^(q-1) and d L^i D^(q-1-i)."""
+    words = [ActivityWord({"l": 1, "D": q - 1})]
+    return words + [ActivityWord({"d": 1, "L": i, "D": q - 1 - i}) for i in range(1, q)]
 
 
 def mirror(p: LaurentPoly1) -> LaurentPoly1:

@@ -3,6 +3,7 @@
 import importlib.util
 import os
 import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -111,3 +112,40 @@ def test_both_sides_are_exported_from_a_throwaway_repository(tmp_path):
     assert files(parent) == [".gitignore", "gone.txt", "kept.txt", "tools/run.sh"]
     assert (parent / "kept.txt").read_text() == "committed\n"
     assert os.access(parent / "tools" / "run.sh", os.X_OK)
+
+
+def load_perfbench_run():
+    """perfbench/run.py as a module; it imports its sibling scripts by name."""
+    perfbench = _PATH.parent.parent / "perfbench"
+    names = ("reference", "workloads", "worker", "tracer")
+    siblings = [name for name in names if name not in sys.modules]
+    sys.path.insert(0, str(perfbench))
+    try:
+        spec = importlib.util.spec_from_file_location("perfbench_run", perfbench / "run.py")
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    finally:
+        sys.path.remove(str(perfbench))
+        for name in siblings:
+            sys.modules.pop(name, None)
+    return module
+
+
+def test_source_digest_is_the_one_perfbench_reports(tmp_path, monkeypatch):
+    run_py = load_perfbench_run()
+    package = tmp_path / "src" / "braidpoly"
+    package.mkdir(parents=True)
+    (package / "a.py").write_text("A = 1\n")
+    (package / "b.py").write_text("B = 2\n")
+    first = bench_pairs.source_sha256(tmp_path)
+    monkeypatch.setattr(run_py, "ROOT", tmp_path)
+    assert first == run_py.meta_data(1)["source_sha256"]
+    # only the package's .py files count, and each one's name and bytes do
+    (package / "notes.txt").write_text("ignored\n")
+    (tmp_path / "src" / "c.py").write_text("ignored\n")
+    assert bench_pairs.source_sha256(tmp_path) == first
+    (package / "b.py").write_text("B = 3\n")
+    assert bench_pairs.source_sha256(tmp_path) != first
+    (package / "b.py").unlink()
+    (package / "c.py").write_text("B = 2\n")
+    assert bench_pairs.source_sha256(tmp_path) != first

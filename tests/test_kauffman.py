@@ -30,6 +30,8 @@ from braidpoly.oracle import bracket_state_sum
 from braidpoly.overlay import partition_function
 from braidpoly.tait import build_tait, thistlethwaite_sum
 
+from references import ladder_words
+
 A = LaurentPoly1.term
 az = LaurentPoly2.term
 
@@ -117,6 +119,29 @@ def test_word_sums_make_no_ring_sum(monkeypatch):
     for q in range(41):
         P(q)
     assert calls == []
+
+
+def test_p_is_the_sum_of_its_ladder_words():
+    P.cache_clear()
+    for q in range(1, MAX_Q + 1):
+        assert P(q) == LaurentPoly2.summed(specialize_kauffman(w) for w in ladder_words(q)), q
+
+
+@pytest.mark.parametrize("q", [40, MAX_Q])
+def test_prop_makes_a_linear_number_of_ring_calls(monkeypatch, q):
+    calls = []
+    for name in ("__mul__", "__add__", "__sub__"):
+
+        def counted(*args, original=getattr(LaurentPoly2, name)):
+            calls.append(1)
+            return original(*args)
+
+        monkeypatch.setattr(LaurentPoly2, name, counted)
+    clear_kauffman_caches()
+    value = K2q(q, "prop")
+    assert len(calls) <= 3 * (q + 1), len(calls)
+    monkeypatch.undo()
+    assert value == K2q(q, "closed")
 
 
 def test_inverse_pair_invariant():
@@ -251,9 +276,8 @@ def clear_kauffman_caches():
             value.cache_clear()
 
 
-@pytest.mark.parametrize("method", K2Q_METHODS)
-def test_a_kauffman_value_keeps_under_45_kb(method):
-    # a K2q(57) value kept 62 KB as one {a: coeff} dict per z; packed runs keep about 17 KB
+def kept_bytes(method):
+    """Bytes that a K2q(57) value keeps once the caches are cleared."""
     clear_kauffman_caches()
     gc.collect()
     tracemalloc.start()
@@ -266,4 +290,18 @@ def test_a_kauffman_value_keeps_under_45_kb(method):
     finally:
         tracemalloc.stop()
     assert value == K2q(57, "skein")
+    return kept
+
+
+@pytest.mark.parametrize("method", K2Q_METHODS)
+def test_a_kauffman_value_keeps_under_45_kb(method):
+    # a K2q(57) value kept 62 KB as one {a: coeff} dict per z, and 38 KB as runs of tuples
+    kept = kept_bytes(method)
     assert kept < 45 * 1024, kept
+
+
+@pytest.mark.parametrize("method", K2Q_METHODS)
+def test_a_packed_kauffman_value_keeps_under_10_kb(method):
+    # one int64 array for the whole value; an array per run kept about 17 KB
+    kept = kept_bytes(method)
+    assert kept < 10 * 1024, kept

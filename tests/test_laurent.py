@@ -461,12 +461,29 @@ def test_poly2_equality_and_hash_ignore_history(p, q):
 
 def test_packed_runs_hold_int64_slots_where_every_coefficient_fits():
     edge = 2**63
-    p = LaurentPoly2({(0, 0): edge - 1, (2, 0): -edge, (0, 1): edge, (0, 2): 3})
+    p = LaurentPoly2({(0, 0): edge - 1, (2, 0): -edge, (-1, 1): 3, (1, 1): -1, (0, 2): 1})
     packed = p.packed()
-    kinds = {ez: type(coeffs).__name__ for ez, (_, _, coeffs) in packed._groups.items()}
-    assert kinds == {0: "array", 1: "tuple", 2: "array"}
-    assert packed == p and packed.terms == p.terms and packed.to_text() == p.to_text()
+    # one int64 array of [z, lo, step, n, c_0 ... c_(n-1)] per run, in the value's run order
+    assert packed._flat.typecode == "q"
+    assert packed._flat.tolist() == [
+        0, 0, 2, 2, edge - 1, -edge,
+        1, -1, 2, 2, 3, -1,
+        2, 0, 2, 1, 1,
+    ]
+    zero = LaurentPoly2.zero()
+    for kept, plain in ((packed, p), (zero.packed(), zero)):
+        assert kept == plain and plain == kept and hash(kept) == hash(plain)
+        assert kept.terms == plain.terms and kept.to_text() == plain.to_text()
+        assert kept.to_json() == plain.to_json()
+        assert list(kept.z_groups()) == list(plain.z_groups())
     assert packed != p + LaurentPoly2.one()
+    # results of ring operations on a packed value are plain values
+    results = (packed + p, packed * packed, -packed, packed.one())
+    assert all(type(x) is LaurentPoly2 for x in results)
+    # a value with any coefficient outside int64 stays as it is
+    for c in (edge, -edge - 1):
+        wide = p + LaurentPoly2.term(c, 5, 3)
+        assert type(wide.packed()) is LaurentPoly2 and wide.packed() == wide
 
 
 def test_poly2_terms_and_json_stay_flat():

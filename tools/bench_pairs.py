@@ -18,7 +18,10 @@ For each workload, pair k (counting from 0) runs ``--trace 0`` on both
 sides with seed k + 1, the parent first in even pairs and the change
 first in odd ones, so a machine that drifts within a pair favours
 neither side.  One ``--trace 1`` run per side follows, on seed 1.  The
-JSON file holds, per workload, whether every run answered correctly,
+JSON file records the parent's commit, the checkout's HEAD and whether
+it had uncommitted edits, and the sha256 of each side's
+``src/braidpoly``, the digest that ``perfbench/run.py`` reports as
+``source_sha256``.  It holds, per workload, whether every run answered correctly,
 traced runs included; per end-to-end metric, every run's value, each
 side's median and quartiles, and how many pairs the change won; and
 each side's per-layer metrics from its traced run.
@@ -27,6 +30,7 @@ each side's per-layer metrics from its traced run.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import io
 import json
 import os
@@ -73,6 +77,14 @@ def export_checkout(root: Path, into: Path) -> None:
             target = into / name
             target.parent.mkdir(parents=True, exist_ok=True)
             shutil.copy2(source, target, follow_symlinks=False)
+
+
+def source_sha256(tree: Path) -> str:
+    """sha256 over the name and bytes of each ``src/braidpoly/*.py`` in ``tree``, by name."""
+    digest = hashlib.sha256()
+    for path in sorted((tree / "src" / "braidpoly").glob("*.py")):
+        digest.update(path.name.encode() + b"\0" + path.read_bytes())
+    return digest.hexdigest()
 
 
 def bench(tree: Path, workload: str, seed: int, seconds: int, trace: int) -> dict:
@@ -159,6 +171,7 @@ def main() -> int:
     report = {
         "parent": parent,
         "change": {"head": head, "dirty": dirty},
+        "source_sha256": {},
         "machine": {
             "nproc": len(os.sched_getaffinity(0)),
             "python": platform.python_version(),
@@ -171,6 +184,7 @@ def main() -> int:
         sides = {"parent": Path(tmp) / "parent", "change": Path(tmp) / "change"}
         export_commit(ROOT, args.parent, sides["parent"])
         export_checkout(ROOT, sides["change"])
+        report["source_sha256"] = {side: source_sha256(tree) for side, tree in sides.items()}
         for workload in names:
             runs = {"parent": [], "change": []}
             for k, seed in enumerate(seeds):
