@@ -16,16 +16,12 @@ from __future__ import annotations
 from collections import Counter
 from typing import Iterable, Mapping
 
-__all__ = ["LETTERS", "BASE_LETTERS", "is_barred", "signed_letter", "ActivityWord"]
+__all__ = ["LETTERS", "BASE_LETTERS", "signed_letter", "ActivityWord"]
 
 BASE_LETTERS = ("L", "l", "D", "d")
 LETTERS = BASE_LETTERS + tuple(x + "~" for x in BASE_LETTERS)
 
 _ORDER = {letter: i for i, letter in enumerate(LETTERS)}
-
-
-def is_barred(letter: str) -> bool:
-    return letter.endswith("~")
 
 
 def signed_letter(letter: str, sign: int) -> str:

@@ -20,17 +20,18 @@ and its sign flips once for each negative image taken an odd number of
 times.  No ring product is made.  ``bracket_sum``, for the tree and
 matching sums, tallies those monomials by exponent and builds one
 polynomial, so it makes no ring sum.  The ``closed`` method tallies its
-q - 1 products the same way, through ``LaurentPoly2.summed``: one dense
-accumulator per power of z.
+q - 1 products P(i) g(q - 2 - i) the same way, term by term into one
+{(a, z): coeff} dict, so it makes no product without a monomial factor.
 
 The ladder polynomials themselves: P(q) is the sum of the two-variable
 images of the q matching words of the q-rung ladder, l D^(q-1) and
 d L^i D^(q-1-i) for 1 <= i < q; it writes their monomials a^-1 z^(q-1)
 and a^i z^(q-i) directly.  g(n) is the Chebyshev-like z-recursion.  K2q
 gives the unnormalized (2,q) torus value by three independent routes
-that must agree, each in about 3q ring operations: ``prop`` makes
-3q - 2, keeping a running sum of the lower values instead of peeling
-each one off P(q) again.  F2q applies the a^-writhe normalization.
+that must agree, each in at most about 3q ring operations: ``prop``
+makes 3q - 2, keeping a running sum of the lower values instead of
+peeling each one off P(q) again, and ``closed`` about 2q, for g and
+its one last sum.  F2q applies the a^-writhe normalization.
 """
 
 from __future__ import annotations
@@ -78,8 +79,9 @@ KAUFFMAN_IMAGE: dict[str, LaurentPoly2] = {
 
 K2Q_METHODS = ("skein", "prop", "closed")
 
-# closed, the slowest method, takes 0.08-0.11 s at q = 120 and 0.13-0.14 s at q = 150,
-# from cleared caches on a 2-core Xeon VM; prop takes 0.05 s and 0.08-0.13 s
+# from cleared caches on a 2-core Xeon VM, medians of 15: prop and closed, the slower
+# methods, take 0.045 and 0.047 s at q = 120 (0.042-0.082 s), 0.081 and 0.084 s at
+# q = 150; skein takes 0.017 and 0.027 s
 MAX_Q = 120
 
 
@@ -186,7 +188,14 @@ def _k2q_prop(q: int) -> LaurentPoly2:
 def _k2q_closed(q: int) -> LaurentPoly2:
     if q <= 1:
         return P(q)
-    return P(q) - LaurentPoly2.summed(P(i) * g(q - 2 - i) for i in range(q - 1))
+    tally: dict[tuple[int, int], int] = {}
+    for i in range(q - 1):
+        right = g(q - 2 - i).terms.items()
+        for (a1, z1), x in P(i).terms.items():
+            for (a2, z2), y in right:
+                key = a1 + a2, z1 + z2
+                tally[key] = tally.get(key, 0) + x * y
+    return P(q) - LaurentPoly2(tally)
 
 
 def F2q(q: int, method: str = "skein") -> LaurentPoly2:

@@ -10,10 +10,13 @@ it, packed into one ``bytes`` as two's-complement slots of the
 narrowest width that holds every coefficient.  The run steps by A^4
 when every exponent lies in one class mod 4, as in every bracket value
 and every minor of its matrix, and by A otherwise; so such runs are
-about full instead of a quarter full.  Products and sums go through
-Kronecker substitution, one big-int operation each: the run is read as
-an integer in base 2^(8k) for a slot width k wide enough for the
-result, and the result's digits are the coefficients.  The elimination's
+about full instead of a quarter full.  Products of stride-4 runs, and
+sums of stride-4 runs of one class, go through Kronecker substitution,
+one big-int operation each: the run is read as an integer in base
+2^(8k) for a slot width k wide enough for the result, and the result's
+digits are the coefficients.  Any other product or sum tallies its
+terms and builds the result once; no route in the package makes one.
+The elimination's
 commonest steps, nearly all on runs of one-byte slots, skip the
 conversion.  A product with A^k, or a quotient by it, only moves the
 run.  A negation, or a product with -A^k, of a one-byte run is one
@@ -27,9 +30,10 @@ a unit is the only divisor; any other raises ``NotDivisible``.
 exponent to a canonical run ``(lo, step, coeffs)``, the coefficients at
 a = lo, lo + step, ... with both ends nonzero; step is 2 when those a
 exponents share a parity, as in every (2,q) torus value.  A sum maps
-``operator.add`` or ``sub`` over aligned runs, a product with a monomial
-moves ``lo``, and any other product or sum of many fills one dense
-accumulator per z.  ``coeffs`` is a tuple of ints.  A value ``packed``
+``operator.add`` or ``sub`` over aligned runs, or adds one run into a
+dense copy of the other; a product with a monomial moves ``lo``, and
+any other product tallies its pairs of terms and builds the result
+once.  ``coeffs`` is a tuple of ints.  A value ``packed``
 to be kept holds all its runs in one int64 array, [z, lo, step, n,
 c_0 ... c_(n-1)] per run, unless a coefficient does not fit int64, and
 reads them back as tuples when used: ``K2q(57)`` keeps 9 KB so, against
@@ -83,18 +87,13 @@ def _slot_bits(k: int, byte: int, n: int) -> int:
     return int.from_bytes(slot * n, "little")
 
 
-def _to_int(data: bytes, w: int, k: int, gap: int = 1) -> int:
-    """Kronecker image at k-byte slots of a run packed in w-byte slots.
-
-    With ``gap`` 4, a stride-4 run is read at stride 1: three zero slots
-    go between each two of its slots.
-    """
+def _to_int(data: bytes, w: int, k: int) -> int:
+    """Kronecker image at k-byte slots of a run packed in w-byte slots."""
     n = len(data) // w
-    if k != w or gap != 1:
-        n = (n - 1) * gap + 1
+    if k != w:
         wide = bytearray(n * k)
         for j in range(w):
-            wide[j :: k * gap] = data[j::w]
+            wide[j::k] = data[j::w]
         data = wide
     u = int.from_bytes(data, "little")
     # each slot holds c mod 2^(8w); take 2^(8w) back off the negative ones
@@ -164,9 +163,9 @@ class LaurentPoly1:
     Bracket values and the minors of their matrices keep all exponents
     in one class mod 4, so their runs are stride 4 and about full.
     Products, quotients and same-class sums of stride-4 values are
-    stride 4 by construction.  Any other result is computed at stride 1
-    and moved to stride 4 when only every fourth slot is nonzero, as in
-    ``(1 + A)(1 - A + A^2 - A^3) = 1 - A^4``.
+    stride 4 by construction.  Any other product or sum tallies terms
+    and lets the constructor pick the stride, so ``(1 + A)(1 - A + A^2
+    - A^3) = 1 - A^4`` comes out at stride 4.
     """
 
     __slots__ = ("_lo", "_s", "_w", "_data")
@@ -193,19 +192,6 @@ class LaurentPoly1:
         return out
 
     @classmethod
-    def _canonical(cls, lo: int, s: int, w: int, data: bytes) -> "LaurentPoly1":
-        """A run with nonzero ends, moved to stride 4 if it is one class."""
-        n = len(data) // w
-        if s == 1 and n % 4 == 1:
-            kept = bytearray((n // 4 + 1) * w)
-            for j in range(w):
-                kept[j::w] = data[j :: 4 * w]
-            # every other slot is zero when all nonzero bytes were kept
-            if data.count(0) - kept.count(0) == len(data) - len(kept):
-                s, data = 4, bytes(kept)
-        return cls._make(lo, s, w, data)
-
-    @classmethod
     def zero(cls) -> "LaurentPoly1":
         return _ZERO
 
@@ -217,10 +203,6 @@ class LaurentPoly1:
     def term(cls, coeff: int, exp: int) -> "LaurentPoly1":
         """The monomial ``coeff * A^exp``."""
         return cls._make(exp, 4, *_pack([coeff])) if coeff else _ZERO
-
-    def _span(self, s: int) -> int:
-        """Slot count of the run at stride ``s``."""
-        return (len(self._data) // self._w - 1) * (self._s // s) + 1
 
     @property
     def terms(self) -> dict[int, int]:
@@ -278,11 +260,12 @@ class LaurentPoly1:
     def _combine(self, other: "LaurentPoly1", sign: int) -> "LaurentPoly1":
         """``self + sign * other``.
 
-        A one-byte stride-4 run plus or minus a one-byte monomial of its
-        class that lies outside the run gains one byte at an end, with
-        zero slots across any gap; subtracting -128 (byte ``0x80``) needs
-        a wider slot and is left to the general path.  Any other sum is
-        one Kronecker sum.
+        Two stride-4 runs of one class make one Kronecker sum; a one-byte
+        run plus or minus a one-byte monomial of its class that lies
+        outside the run gains one byte at an end instead, with zero slots
+        across any gap.  Subtracting -128 (byte ``0x80``) needs a wider
+        slot and is left to the Kronecker sum.  Any other sum tallies
+        terms.
         """
         if not other._data:
             return self
@@ -291,29 +274,32 @@ class LaurentPoly1:
         if sign > 0 and len(self._data) == self._w:
             self, other = other, self
         (la, wa, a), (lb, wb, b) = (self._lo, self._w, self._data), (other._lo, other._w, other._data)
-        lo = min(la, lb)
-        s = 4 if self._s == other._s == 4 and (la - lb) % 4 == 0 else 1
-        if len(b) == wb and s == 4 and wa == wb == 1 and (sign > 0 or b != b"\x80"):
+        if not (self._s == other._s == 4 and (la - lb) % 4 == 0):
+            terms = self.terms
+            for e, c in other.terms.items():
+                terms[e] = terms.get(e, 0) + sign * c
+            return LaurentPoly1(terms)
+        if len(b) == wb and wa == wb == 1 and (sign > 0 or b != b"\x80"):
             m = b if sign > 0 else b.translate(_NEGATED)
             hi = la + 4 * (len(a) - 1)
             if lb < la:
                 return LaurentPoly1._make(lb, 4, 1, m + bytes((la - lb) // 4 - 1) + a)
             if lb > hi:
                 return LaurentPoly1._make(la, 4, 1, a + bytes((lb - hi) // 4 - 1) + m)
-        hi = max(la + s * (self._span(s) - 1), lb + s * (other._span(s) - 1))
-        n = (hi - lo) // s + 1
+        lo = min(la, lb)
+        hi = max(la + 4 * (len(a) // wa - 1), lb + 4 * (len(b) // wb - 1))
         k = max(wa, wb) + 1  # a sum needs one more bit than its terms
-        value = _to_int(a, wa, k, self._s // s) << (8 * k * ((la - lo) // s))
-        value += (sign * _to_int(b, wb, k, other._s // s)) << (8 * k * ((lb - lo) // s))
+        value = _to_int(a, wa, k) << (8 * k * ((la - lo) // 4))
+        value += (sign * _to_int(b, wb, k)) << (8 * k * ((lb - lo) // 4))
         if not value:
             return _ZERO
-        w, data = _from_int(value, k, n)
+        w, data = _from_int(value, k, (hi - lo) // 4 + 1)
         # cancellation may leave zero slots at either end
         low = (len(data) - len(data.lstrip(b"\0"))) // w
         high = (len(data) - len(data.rstrip(b"\0"))) // w
         if low or high:
             w, data = _narrow(data[low * w : len(data) - high * w], w)
-        return LaurentPoly1._canonical(lo + s * low, s, w, data)
+        return LaurentPoly1._make(lo + 4 * low, 4, w, data)
 
     def __add__(self, other: "LaurentPoly1") -> "LaurentPoly1":
         return self._combine(other, 1)
@@ -331,12 +317,18 @@ class LaurentPoly1:
             return self._scaled(lo, int.from_bytes(b, "little", signed=True))
         if len(a) == wa:
             return other._scaled(lo, int.from_bytes(a, "little", signed=True))
-        s = 4 if self._s == other._s == 4 else 1
-        na, nb = self._span(s), other._span(s)
+        if self._s != 4 or other._s != 4:
+            tally: dict[int, int] = {}
+            right = other.terms.items()
+            for ea, ca in self.terms.items():
+                for eb, cb in right:
+                    tally[ea + eb] = tally.get(ea + eb, 0) + ca * cb
+            return LaurentPoly1(tally)
+        na, nb = len(a) // wa, len(b) // wb
         # |product coefficient| < min(na, nb) * 2^(8wa - 1) * 2^(8wb - 1)
         k = (8 * wa + 8 * wb + min(na, nb).bit_length() + 6) // 8
-        value = _to_int(a, wa, k, self._s // s) * _to_int(b, wb, k, other._s // s)
-        return LaurentPoly1._canonical(lo, s, *_from_int(value, k, na + nb - 1))
+        value = _to_int(a, wa, k) * _to_int(b, wb, k)
+        return LaurentPoly1._make(lo, 4, *_from_int(value, k, na + nb - 1))
 
     def exact_div(self, divisor: "LaurentPoly1") -> "LaurentPoly1":
         """The quotient by a unit ``+-A^k``: the run moved down by k, with its sign.
@@ -454,16 +446,6 @@ class LaurentPoly2:
         return cls.term(1, 0, 0)
 
     @classmethod
-    def summed(cls, polys: Iterable["LaurentPoly2"]) -> "LaurentPoly2":
-        """The sum of ``polys``, one at a time into one dense accumulator per z."""
-        accs: dict[int, list] = {}
-        for poly in polys:
-            for ez, run in poly._groups.items():
-                _add_run(accs.setdefault(ez, [run[0], run[1], []]), run)
-        runs = ((ez, _trimmed(*acc)) for ez, acc in accs.items())
-        return cls._make({ez: run for ez, run in runs if run})
-
-    @classmethod
     def term(cls, coeff: int, a: int, z: int) -> "LaurentPoly2":
         """The monomial ``coeff * a^a_exp * z^z_exp``."""
         return cls._make({z: (a, 2, (coeff,))} if coeff else {})
@@ -554,28 +536,13 @@ class LaurentPoly2:
                 (dz, (da, _, c)), = mono.items()
                 if len(c) == 1:
                     return poly._shifted(da, dz, c[0])
-        # one dense accumulator per z, indexed by a + z, at step 2 when both sides allow it
-        kinds = [{(s, (lo + z) % 2) for z, (lo, s, _) in side.items()} for side in (a, b)]
-        t = 2 if all(len(k) == 1 and min(k)[0] == 2 for k in kinds) else 1
-        low_a, low_b = (min(lo + z for z, (lo, _, _) in side.items()) for side in (a, b))
-        high = sum(max(lo + s * (len(c) - 1) + z for z, (lo, s, c) in x.items()) for x in (a, b))
-        n = (high - low_a - low_b) // t + 1
-        out = {z: [0] * n for z in {z1 + z2 for z1 in a for z2 in b}}
-        # the other side term by term: in the package it is g(k), one term per run
-        terms = [
-            (z2, (l2 + z2 + s2 * i - low_b) // t, y)
-            for z2, (l2, s2, c2) in b.items()
-            for i, y in enumerate(c2)
-            if y
-        ]
-        for z1, (l1, s1, c1) in a.items():
-            for i, x in enumerate(c1):
-                if x:
-                    j1 = (l1 + z1 + s1 * i - low_a) // t
-                    for z2, j2, y in terms:
-                        out[z1 + z2][j1 + j2] += x * y
-        runs = ((ez, _trimmed(low_a + low_b - ez, t, acc)) for ez, acc in out.items())
-        return LaurentPoly2._make({ez: run for ez, run in runs if run})
+        tally: dict[tuple[int, int], int] = {}
+        right = other.terms.items()
+        for (a1, z1), x in self.terms.items():
+            for (a2, z2), y in right:
+                key = a1 + a2, z1 + z2
+                tally[key] = tally.get(key, 0) + x * y
+        return LaurentPoly2(tally)
 
     def z_groups(self) -> Iterator[tuple[int, Mapping[int, int]]]:
         """Pairs (z exponent, read-only {a exponent: coeff}) in ascending z order."""

@@ -27,6 +27,7 @@ from braidpoly.kauffman import BRACKET_IMAGE
 from braidpoly.laurent import LaurentPoly1
 from braidpoly.oracle import bracket_state_sum, jones_state_sum
 from braidpoly.overlay import partition_function
+from braidpoly.tait import build_tait, thistlethwaite_sum
 
 from overlay_parts import overlay_components
 from references import cofactor_det, mirror, power, symbolic_determinant
@@ -592,3 +593,29 @@ def test_solve_gf2_matches_variable_scan(system):
             _solve_gf2(equations)
     else:
         assert _solve_gf2(equations) == expected
+
+
+def test_ring_traffic_takes_only_the_stride_4_paths(monkeypatch):
+    # every LaurentPoly1 operand keeps its exponents in one class mod 4,
+    # and both operands of each sum share it, so no product or sum tallies
+    calls, strays = [], []
+    for name in ("__mul__", "__add__", "__sub__"):
+
+        def spied(left, right, original=getattr(LaurentPoly1, name), name=name):
+            classes = [{e % 4 for e in p.terms} for p in (left, right)]
+            if max(map(len, classes)) > 1 or (name != "__mul__" and len(set.union(*classes)) > 1):
+                strays.append((name, left, right))
+            calls.append(name)
+            return original(left, right)
+
+        monkeypatch.setattr(LaurentPoly1, name, spied)
+    for word in corpus_words():
+        diagram = build_diagram(word)
+        jones_via_det(word)
+        jones_state_sum(word)
+        thistlethwaite_sum(build_tait(diagram))
+        partition_function(prepare_overlay(word))
+    for text in ("s1^20 s2^20", " ".join(f"s{i}^10" for i in range(1, 11))):
+        jones_via_det(parse_braid(text))
+    assert {"__mul__", "__add__"} <= set(calls)
+    assert strays == []

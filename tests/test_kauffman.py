@@ -9,7 +9,7 @@ from braidpoly import kauffman
 from braidpoly.activity import BASE_LETTERS, LETTERS, ActivityWord
 from braidpoly.braid import parse_braid
 from braidpoly.diagram import build_diagram
-from braidpoly.dimer import prepare_overlay
+from braidpoly.dimer import bracket_via_det, prepare_overlay
 from braidpoly.errors import BarredLetter, NegativeIndex, TooLarge
 from braidpoly.kauffman import (
     BRACKET_IMAGE,
@@ -124,7 +124,11 @@ def test_word_sums_make_no_ring_sum(monkeypatch):
 def test_p_is_the_sum_of_its_ladder_words():
     P.cache_clear()
     for q in range(1, MAX_Q + 1):
-        assert P(q) == LaurentPoly2.summed(specialize_kauffman(w) for w in ladder_words(q)), q
+        tally = {}
+        for w in ladder_words(q):
+            for key, c in specialize_kauffman(w).terms.items():
+                tally[key] = tally.get(key, 0) + c
+        assert P(q) == LaurentPoly2(tally), q
 
 
 @pytest.mark.parametrize("q", [40, MAX_Q])
@@ -142,6 +146,23 @@ def test_prop_makes_a_linear_number_of_ring_calls(monkeypatch, q):
     assert len(calls) <= 3 * (q + 1), len(calls)
     monkeypatch.undo()
     assert value == K2q(q, "closed")
+
+
+@pytest.mark.parametrize("q", [40, MAX_Q])
+def test_closed_makes_no_general_product(monkeypatch, q):
+    # every product closed makes has a monomial factor; its P(i) g(q - 2 - i) are tallied
+    general = []
+    original = LaurentPoly2.__mul__
+
+    def counted(left, right):
+        if len(left.terms) > 1 and len(right.terms) > 1:
+            general.append((left, right))
+        return original(left, right)
+
+    monkeypatch.setattr(LaurentPoly2, "__mul__", counted)
+    clear_kauffman_caches()
+    assert K2q(q, "closed") == _k2q_skein(q)
+    assert general == []
 
 
 def test_inverse_pair_invariant():
@@ -216,6 +237,39 @@ def test_k2q_three_way_equality():
         skein = K2q(q, "skein")
         assert K2q(q, "prop") == skein
         assert K2q(q, "closed") == skein
+
+
+def times_loop_sum(terms):
+    """(A + A^-1) times the polynomial ``terms``, as {exponent: coeff}."""
+    out = {}
+    for e, c in terms.items():
+        for shifted in (e - 1, e + 1):
+            out[shifted] = out.get(shifted, 0) + c
+    return out
+
+
+def bracket_image(value):
+    """(A + A^-1) times the image of ``value`` under a -> -A^-3, z -> A + A^-1.
+
+    Horner in z over integer dicts, from the top power of z down to z^-1,
+    so no ring product is made.
+    """
+    groups = dict(value.z_groups())
+    assert min(groups) >= -1
+    image = {}
+    for ez in range(max(groups), -2, -1):
+        image = times_loop_sum(image)
+        for ea, c in groups.get(ez, {}).items():
+            image[-3 * ea] = image.get(-3 * ea, 0) + (-c if ea % 2 else c)
+    return LaurentPoly1(image)
+
+
+def test_k2q_specializes_to_the_bracket_of_its_braid():
+    # the Kauffman polynomial specializes to the bracket (Kauffman 1990);
+    # the factor A + A^-1 clears the z^-1 group of an even q
+    for q in range(1, MAX_Q + 1):
+        bracket = bracket_via_det(parse_braid(f"s1^{q}"))
+        assert bracket_image(K2q(q)) == LaurentPoly1(times_loop_sum(bracket.terms)), q
 
 
 def test_f2q_values():
