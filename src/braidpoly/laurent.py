@@ -16,13 +16,12 @@ one big-int operation each: the run is read as an integer in base
 2^(8k) for a slot width k wide enough for the result, and the result's
 digits are the coefficients.  Any other product or sum tallies its
 terms and builds the result once; no route in the package makes one.
-The elimination's
-commonest steps, nearly all on runs of one-byte slots, skip the
-conversion.  A product with A^k, or a quotient by it, only moves the
-run.  A negation, or a product with -A^k, of a one-byte run is one
-``bytes.translate`` through a negation table.  A one-byte monomial added
-to or subtracted from a one-byte stride-4 run, of its class and outside
-it, is one more byte at an end.  Byte 0x80 (-128) has no one-byte
+The elimination's commonest steps, nearly all on runs of one-byte
+slots, skip the conversion.  A product with A^k, or a quotient by it,
+only moves the run.  A negation, or a product with -A^k, of a
+one-byte run is one ``bytes.translate`` through a negation table.  A
+one-byte monomial added to or subtracted from a one-byte stride-4 run,
+of its class and outside it, is one more byte at an end.  Byte 0x80 (-128) has no one-byte
 negation, so a run that holds it, or a subtraction of it, takes the
 Kronecker path.  The determinant path divides by nothing but units, so
 a unit is the only divisor; any other raises ``NotDivisible``.
@@ -33,10 +32,10 @@ exponents share a parity, as in every (2,q) torus value.  A sum maps
 ``operator.add`` or ``sub`` over aligned runs, or adds one run into a
 dense copy of the other; a product with a monomial moves ``lo``, and
 any other product tallies its pairs of terms and builds the result
-once.  ``coeffs`` is a tuple of ints.  A value ``packed``
-to be kept holds all its runs in one int64 array, [z, lo, step, n,
-c_0 ... c_(n-1)] per run, unless a coefficient does not fit int64, and
-reads them back as tuples when used: ``K2q(57)`` keeps 9 KB so, against
+once.  ``coeffs`` is a tuple of ints.  A value ``packed`` to be kept
+holds all its runs in one int64 array, [z, lo, step, n, c_0 ...
+c_(n-1)] per run, unless a coefficient does not fit int64, and reads
+them back as tuples when used: ``K2q(57)`` keeps 9 KB so, against
 38 KB as tuples.
 
 Text and JSON are output formats only; nothing in the package reads a

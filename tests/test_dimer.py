@@ -610,10 +610,9 @@ def test_ring_traffic_takes_only_the_stride_4_paths(monkeypatch):
 
         monkeypatch.setattr(LaurentPoly1, name, spied)
     for word in corpus_words():
-        diagram = build_diagram(word)
         jones_via_det(word)
         jones_state_sum(word)
-        thistlethwaite_sum(build_tait(diagram))
+        thistlethwaite_sum(build_tait(build_diagram(word)))
         partition_function(prepare_overlay(word))
     for text in ("s1^20 s2^20", " ".join(f"s{i}^10" for i in range(1, 11))):
         jones_via_det(parse_braid(text))

@@ -239,7 +239,7 @@ def test_k2q_three_way_equality():
         assert K2q(q, "closed") == skein
 
 
-def times_loop_sum(terms):
+def times_z_image(terms):
     """(A + A^-1) times the polynomial ``terms``, as {exponent: coeff}."""
     out = {}
     for e, c in terms.items():
@@ -258,7 +258,7 @@ def bracket_image(value):
     assert min(groups) >= -1
     image = {}
     for ez in range(max(groups), -2, -1):
-        image = times_loop_sum(image)
+        image = times_z_image(image)
         for ea, c in groups.get(ez, {}).items():
             image[-3 * ea] = image.get(-3 * ea, 0) + (-c if ea % 2 else c)
     return LaurentPoly1(image)
@@ -269,7 +269,7 @@ def test_k2q_specializes_to_the_bracket_of_its_braid():
     # the factor A + A^-1 clears the z^-1 group of an even q
     for q in range(1, MAX_Q + 1):
         bracket = bracket_via_det(parse_braid(f"s1^{q}"))
-        assert bracket_image(K2q(q)) == LaurentPoly1(times_loop_sum(bracket.terms)), q
+        assert bracket_image(K2q(q)) == LaurentPoly1(times_z_image(bracket.terms)), q
 
 
 def test_f2q_values():
