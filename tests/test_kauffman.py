@@ -1,4 +1,6 @@
 import gc
+import hashlib
+import json
 import tracemalloc
 
 import pytest
@@ -322,6 +324,17 @@ def test_k2q_minus_itself_is_zero(q):
         assert hash(diff) == hash(LaurentPoly2.zero())
         assert diff.terms == {} and list(diff.z_groups()) == []
         assert diff.to_json()["terms"] == [] and diff.to_text() == "0"
+
+
+def test_every_kauffman_output_keeps_its_digest():
+    # K2q(q) for 0 <= q <= MAX_Q and F2q(q) for q >= 1, text then JSON, in order of q
+    digest = hashlib.sha256()
+    for q in range(MAX_Q + 1):
+        for value in (K2q(q), F2q(q)) if q else (K2q(q),):
+            digest.update((value.to_text() + json.dumps(value.to_json())).encode())
+    assert digest.hexdigest() == (
+        "5f9b796d972f8a9c7c65cf0c37f8cbb91ef0eeedb7f0463ef6a0dc2d9b167486"
+    )
 
 
 def clear_kauffman_caches():
