@@ -18,25 +18,27 @@ digits are the coefficients.  Any other product or sum tallies its
 terms and builds the result once; no route in the package makes one.
 The elimination's commonest steps, nearly all on runs of one-byte
 slots, skip the conversion.  A product with A^k, or a quotient by it,
-only moves the run.  A negation, or a product with -A^k, of a
-one-byte run is one ``bytes.translate`` through a negation table.  A
-one-byte monomial added to or subtracted from a one-byte stride-4 run,
-of its class and outside it, is one more byte at an end.  Byte 0x80 (-128) has no one-byte
-negation, so a run that holds it, or a subtraction of it, takes the
-Kronecker path.  The determinant path divides by nothing but units, so
-a unit is the only divisor; any other raises ``NotDivisible``.
+only moves the run.  A negation, or a product with -A^k, of a one-byte
+run is one ``bytes.translate`` through a negation table; byte 0x80
+(-128) has no one-byte negation, so a run that holds it takes the
+Kronecker path.  A one-byte monomial added to a one-byte stride-4 run,
+of its class and outside it, is one more byte at an end.  A difference
+is a sum with the negation.  The determinant path divides by nothing
+but units, so a unit is the only divisor; any other raises
+``NotDivisible``.
+
 ``LaurentPoly2`` groups its terms by power of z: a dict from each z
-exponent to a canonical run ``(lo, step, coeffs)``, the coefficients at
-a = lo, lo + step, ... with both ends nonzero; step is 2 when those a
-exponents share a parity, as in every (2,q) torus value.  A sum maps
-``operator.add`` or ``sub`` over aligned runs, or adds one run into a
-dense copy of the other; a product with a monomial moves ``lo``, and
-any other product tallies its pairs of terms and builds the result
-once.  ``coeffs`` is a tuple of ints.  A value ``packed`` to be kept
-holds all its runs in one int64 array, [z, lo, step, n, c_0 ...
-c_(n-1)] per run, unless a coefficient does not fit int64, and reads
-them back as tuples when used: ``K2q(57)`` keeps 9 KB so, against
-38 KB as tuples.
+exponent to an ``{a exponent: coeff}`` map, which is never changed once
+built, so values share maps.  A sum copies only the maps that both
+sides hold, a product with a monomial moves or scales the other
+factor's terms, and any other product tallies its pairs of terms and
+builds the result once.  Runs exist only in a value ``packed`` to be
+kept: unless a coefficient does not fit int64, it holds all its maps in
+one int64 array, [z, lo, step, n, c_0 ... c_(n-1)] per map, the
+coefficients at a = lo, lo + step, ... with both ends nonzero and step
+2 when those a exponents share a parity, as in every (2,q) torus
+value.  It reads them back as maps when used: ``K2q(57)`` keeps 9 KB
+so, against 63 KB as maps.
 
 Text and JSON are output formats only; nothing in the package reads a
 polynomial back.  Rendering conventions, fixed once and relied on by
@@ -53,7 +55,6 @@ from __future__ import annotations
 
 import sys
 from array import array
-from operator import add, neg, sub
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping
 
@@ -256,40 +257,36 @@ class LaurentPoly1:
             return self
         return self._scaled(self._lo, -1)
 
-    def _combine(self, other: "LaurentPoly1", sign: int) -> "LaurentPoly1":
-        """``self + sign * other``.
+    def __add__(self, other: "LaurentPoly1") -> "LaurentPoly1":
+        """Two stride-4 runs of one class make one Kronecker sum.
 
-        Two stride-4 runs of one class make one Kronecker sum; a one-byte
-        run plus or minus a one-byte monomial of its class that lies
+        A one-byte run plus a one-byte monomial of its class that lies
         outside the run gains one byte at an end instead, with zero slots
-        across any gap.  Subtracting -128 (byte ``0x80``) needs a wider
-        slot and is left to the Kronecker sum.  Any other sum tallies
-        terms.
+        across any gap.  Any other sum tallies terms.
         """
         if not other._data:
             return self
         if not self._data:
-            return other._scaled(other._lo, sign)
-        if sign > 0 and len(self._data) == self._w:
+            return other
+        if len(self._data) == self._w:
             self, other = other, self
         (la, wa, a), (lb, wb, b) = (self._lo, self._w, self._data), (other._lo, other._w, other._data)
         if not (self._s == other._s == 4 and (la - lb) % 4 == 0):
             terms = self.terms
             for e, c in other.terms.items():
-                terms[e] = terms.get(e, 0) + sign * c
+                terms[e] = terms.get(e, 0) + c
             return LaurentPoly1(terms)
-        if len(b) == wb and wa == wb == 1 and (sign > 0 or b != b"\x80"):
-            m = b if sign > 0 else b.translate(_NEGATED)
+        if len(b) == wb and wa == wb == 1:
             hi = la + 4 * (len(a) - 1)
             if lb < la:
-                return LaurentPoly1._make(lb, 4, 1, m + bytes((la - lb) // 4 - 1) + a)
+                return LaurentPoly1._make(lb, 4, 1, b + bytes((la - lb) // 4 - 1) + a)
             if lb > hi:
-                return LaurentPoly1._make(la, 4, 1, a + bytes((lb - hi) // 4 - 1) + m)
+                return LaurentPoly1._make(la, 4, 1, a + bytes((lb - hi) // 4 - 1) + b)
         lo = min(la, lb)
         hi = max(la + 4 * (len(a) // wa - 1), lb + 4 * (len(b) // wb - 1))
         k = max(wa, wb) + 1  # a sum needs one more bit than its terms
         value = _to_int(a, wa, k) << (8 * k * ((la - lo) // 4))
-        value += (sign * _to_int(b, wb, k)) << (8 * k * ((lb - lo) // 4))
+        value += _to_int(b, wb, k) << (8 * k * ((lb - lo) // 4))
         if not value:
             return _ZERO
         w, data = _from_int(value, k, (hi - lo) // 4 + 1)
@@ -300,11 +297,8 @@ class LaurentPoly1:
             w, data = _narrow(data[low * w : len(data) - high * w], w)
         return LaurentPoly1._make(lo + 4 * low, 4, w, data)
 
-    def __add__(self, other: "LaurentPoly1") -> "LaurentPoly1":
-        return self._combine(other, 1)
-
     def __sub__(self, other: "LaurentPoly1") -> "LaurentPoly1":
-        return self._combine(other, -1)
+        return self + -other
 
     def __mul__(self, other: "LaurentPoly1") -> "LaurentPoly1":
         a, b = self._data, other._data
@@ -368,41 +362,13 @@ _ONE = LaurentPoly1({0: 1})
 _UNIT_RUNS = {_pack([c])[1]: c for c in (1, -1)}
 
 
-def _trimmed(lo: int, step: int, coeffs):
-    """``coeffs`` at a = lo, lo + step, ... as a canonical run, or None if all zero."""
-    if not (coeffs[0] and coeffs[-1]):
-        if not any(coeffs):
-            return None
-        low = coeffs.index(next(filter(None, coeffs)))
-        high = len(coeffs) - coeffs[::-1].index(next(filter(None, reversed(coeffs))))
-        coeffs, lo = coeffs[low:high], lo + step * low
-    if step == 1 and len(coeffs) % 2 and not any(coeffs[1::2]):
-        return lo, 2, tuple(coeffs[::2])
-    return lo, step, tuple(coeffs)
-
-
-def _add_run(acc: list, run: tuple) -> None:
-    """Add ``run`` into the dense accumulator ``acc = [lo, step, coeffs]``, widening it."""
-    (lo, t, vals), (l, s, c) = acc, run
-    if s != t or (l - lo) % t:  # both to step 1: a zero between each two slots
-        if t == 2:
-            t, vals = 1, [x for v in vals for x in (v, 0)][:-1]
-            acc[1:] = t, vals
-        c = [x for v in c for x in (v, 0)][:-1] if s == 2 else c
-    j = (l - lo) // t
-    if j < 0:
-        vals[:0] = [0] * -j
-        acc[0], j = l, 0
-    end = j + len(c)
-    vals += [0] * (end - len(vals))
-    vals[j:end] = map(add, vals[j:end], c)
-
-
 class LaurentPoly2:
     """A Laurent polynomial in the two variables ``a`` and ``z``.
 
-    ``_groups`` maps each z exponent to its canonical run, as described at
-    the top of this module; a one-term run has step 2.
+    ``_groups`` maps each z exponent to its ``{a exponent: coeff}`` map,
+    as described at the top of this module.  Coefficients are nonzero,
+    no map is empty, and no map is changed once built, so values share
+    them.
     """
 
     __slots__ = ("_groups",)
@@ -412,21 +378,10 @@ class LaurentPoly2:
     ):
         if not isinstance(terms, dict):
             terms = dict(terms)
-        rows: dict[int, dict[int, int]] = {}
+        groups: dict[int, dict[int, int]] = {}
         for (ea, ez), c in terms.items():
             if c:
-                rows.setdefault(ez, {})[ea] = c
-        groups = {}
-        for ez, row in rows.items():
-            if len(row) == 1:
-                (ea, c), = row.items()
-                groups[ez] = ea, 2, (c,)
-                continue
-            lo = min(row)
-            coeffs = [0] * (max(row) - lo + 1)
-            for ea, c in row.items():
-                coeffs[ea - lo] = c
-            groups[ez] = _trimmed(lo, 1, coeffs)
+                groups.setdefault(ez, {})[ea] = c
         self._groups = groups
 
     @classmethod
@@ -447,12 +402,11 @@ class LaurentPoly2:
     @classmethod
     def term(cls, coeff: int, a: int, z: int) -> "LaurentPoly2":
         """The monomial ``coeff * a^a_exp * z^z_exp``."""
-        return cls._make({z: (a, 2, (coeff,))} if coeff else {})
+        return cls._make({z: {a: coeff}} if coeff else {})
 
     @property
     def terms(self) -> dict[tuple[int, int], int]:
-        groups = self._groups.items()
-        return {(lo + s * i, ez): c for ez, (lo, s, cs) in groups for i, c in enumerate(cs) if c}
+        return {(ea, ez): c for ez, group in self._groups.items() for ea, c in group.items()}
 
     @property
     def is_zero(self) -> bool:
@@ -467,13 +421,18 @@ class LaurentPoly2:
         return self._groups == other._groups
 
     def __hash__(self) -> int:
-        return hash(frozenset(self._groups.items()))
+        return hash(frozenset((ez, frozenset(group.items())) for ez, group in self._groups.items()))
 
     def packed(self) -> "LaurentPoly2":
         """This value held in one int64 array, or as it is if a coefficient does not fit."""
         flat = []
-        for ez, (lo, s, c) in self._groups.items():
-            flat += ez, lo, s, len(c), *c
+        for ez, group in self._groups.items():
+            lo = min(group)
+            step = 2 if all((ea - lo) % 2 == 0 for ea in group) else 1
+            coeffs = [0] * ((max(group) - lo) // step + 1)
+            for ea, c in group.items():
+                coeffs[(ea - lo) // step] = c
+            flat += ez, lo, step, len(coeffs), *coeffs
         try:
             flat = array("q", flat)
         except OverflowError:
@@ -488,33 +447,29 @@ class LaurentPoly2:
     def _shifted(self, da: int, dz: int, coeff: int) -> "LaurentPoly2":
         """``coeff * a^da * z^dz * self``; one pass, nothing cancels."""
         if coeff == 1 and not da:
-            return LaurentPoly2._make({ez + dz: run for ez, run in self._groups.items()})
-        scale = coeff.__mul__
+            return LaurentPoly2._make({ez + dz: group for ez, group in self._groups.items()})
         return LaurentPoly2._make({
-            ez + dz: (lo + da, s, c if coeff == 1 else tuple(map(scale, c)))
-            for ez, (lo, s, c) in self._groups.items()
+            ez + dz: {ea + da: coeff * c for ea, c in group.items()}
+            for ez, group in self._groups.items()
         })
 
     def _combine(self, other: "LaurentPoly2", sign: int) -> "LaurentPoly2":
-        """``self + sign * other``, sharing the runs only one side holds."""
-        op = add if sign > 0 else sub
+        """``self + sign * other``, sharing the maps only one side holds."""
         groups = dict(self._groups)
         for ez, theirs in other._groups.items():
             mine = groups.get(ez)
             if mine is None:
-                groups[ez] = theirs if sign > 0 else (*theirs[:2], tuple(map(neg, theirs[2])))
+                groups[ez] = theirs if sign > 0 else {ea: -c for ea, c in theirs.items()}
                 continue
-            (la, s, ca), (lb, sb, cb) = mine, theirs
-            if la == lb and s == sb and len(cb) <= len(ca):
-                # b starts where a does and ends inside it, as in most K2q sums: map op over b
-                out = (*map(op, ca, cb), *ca[len(cb):])
-                run = (la, 2, out) if s == 2 and out[0] and out[-1] else _trimmed(la, s, out)
-            else:
-                acc = [la, s, list(ca)]
-                _add_run(acc, theirs if sign > 0 else (lb, sb, tuple(map(neg, cb))))
-                run = _trimmed(*acc)
-            if run:
-                groups[ez] = run
+            group = dict(mine)
+            for ea, c in theirs.items():
+                total = group.get(ea, 0) + sign * c
+                if total:
+                    group[ea] = total
+                else:
+                    del group[ea]
+            if group:
+                groups[ez] = group
             else:
                 del groups[ez]
         return LaurentPoly2._make(groups)
@@ -529,12 +484,13 @@ class LaurentPoly2:
         a, b = self._groups, other._groups
         if not a or not b:
             return LaurentPoly2()
-        # a monomial factor only moves or scales the other's runs
+        # a monomial factor only moves or scales the other's terms
         for mono, poly in ((b, self), (a, other)):
             if len(mono) == 1:
-                (dz, (da, _, c)), = mono.items()
-                if len(c) == 1:
-                    return poly._shifted(da, dz, c[0])
+                (dz, group), = mono.items()
+                if len(group) == 1:
+                    (da, c), = group.items()
+                    return poly._shifted(da, dz, c)
         tally: dict[tuple[int, int], int] = {}
         right = other.terms.items()
         for (a1, z1), x in self.terms.items():
@@ -545,8 +501,8 @@ class LaurentPoly2:
 
     def z_groups(self) -> Iterator[tuple[int, Mapping[int, int]]]:
         """Pairs (z exponent, read-only {a exponent: coeff}) in ascending z order."""
-        for ez, (lo, step, coeffs) in sorted(self._groups.items()):
-            yield ez, MappingProxyType({lo + step * i: c for i, c in enumerate(coeffs) if c})
+        for ez, group in sorted(self._groups.items()):
+            yield ez, MappingProxyType(group)
 
     def to_text(self) -> str:
         parts = [_render_group(g, ez, first=not i) for i, (ez, g) in enumerate(self.z_groups())]
@@ -561,10 +517,10 @@ class LaurentPoly2:
 
 
 class _PackedPoly2(LaurentPoly2):
-    """A kept value: each run as [z, lo, step, n, c_0 ... c_(n-1)] in one int64 array.
+    """A kept value: each map as a run [z, lo, step, n, c_0 ... c_(n-1)] in one int64 array.
 
-    ``_groups`` reads the runs back on each use, so every method of the
-    base class works unchanged and returns an unpacked value.
+    ``_groups`` reads the runs back as maps on each use, so every method
+    of the base class works unchanged and returns an unpacked value.
     """
 
     __slots__ = ("_flat",)
@@ -574,7 +530,7 @@ class _PackedPoly2(LaurentPoly2):
         flat, groups, i = self._flat, {}, 0
         while i < len(flat):
             ez, lo, s, n = flat[i : i + 4]
-            groups[ez] = lo, s, tuple(flat[i + 4 : i + 4 + n])
+            groups[ez] = {lo + s * j: c for j, c in enumerate(flat[i + 4 : i + 4 + n]) if c}
             i += 4 + n
         return groups
 

@@ -404,12 +404,24 @@ def assert_groups_canonical(p):
     groups = list(p.z_groups())
     assert [ez for ez, _ in groups] == sorted({ez for _, ez in p.terms})
     assert all(group and all(group.values()) for _, group in groups)
-    # each packed run has nonzero ends, and steps by 2 exactly when its
-    # a exponents share one parity
-    for ez, group in groups:
-        lo, step, coeffs = p._groups[ez]
-        assert coeffs[0] and coeffs[-1] and lo == min(group)
+
+
+def assert_packed_runs_canonical(p):
+    """Each run that ``p.packed()`` writes has nonzero ends, and steps by 2
+    exactly when its a exponents share one parity."""
+    packed = p.packed()
+    if type(packed) is LaurentPoly2:  # a coefficient outside int64: nothing packed
+        assert packed is p
+        return
+    flat, groups, i = packed._flat.tolist(), dict(p.z_groups()), 0
+    while i < len(flat):
+        ez, lo, step, n = flat[i : i + 4]
+        run, group = flat[i + 4 : i + 4 + n], groups.pop(ez)
+        assert run[0] and run[-1] and lo == min(group)
         assert step == (2 if len({ea % 2 for ea in group}) == 1 else 1)
+        assert {lo + step * j: c for j, c in enumerate(run) if c} == group
+        i += 4 + n
+    assert not groups
 
 
 # the sum mixes parities (step 1); taking the second away again is step 2
@@ -436,6 +448,7 @@ def test_poly2_ring_ops_match_dict_reference(p, q):
         assert value.terms == terms
         assert value == LaurentPoly2(terms)
         assert_groups_canonical(value)
+        assert_packed_runs_canonical(value)
 
 
 @given(terms2, terms2)
@@ -457,6 +470,27 @@ def test_poly2_equality_and_hash_ignore_history(p, q):
         assert value == a and a == value
         assert hash(value) == hash(a)
         assert value.terms == a.terms
+
+
+def snapshot(x):
+    return x.terms, [(ez, dict(group)) for ez, group in x.z_groups()]
+
+
+@given(terms2, terms2)
+@example(*STEP_SWITCH)
+def test_poly2_ring_ops_leave_their_operands_alone(p, q):
+    # values share their {a: coeff} maps, so a map changed in place would show here
+    z, a2 = LaurentPoly2.term(1, 0, 1), LaurentPoly2.term(-2, 1, 0)
+    for a in (LaurentPoly2(p), LaurentPoly2(p).packed()):
+        for b in (LaurentPoly2(q), LaurentPoly2(q).packed()):
+            before = snapshot(a), snapshot(b)
+            results = [a + b, a - b, b - a, a * b, -a, -b, z * a, a * a2]
+            for r in results:
+                kept = snapshot(r)
+                for x in (r + a, r - b, b - r, r * b, -r, z * r, r * a2):
+                    x + a - b
+                assert snapshot(r) == kept
+            assert (snapshot(a), snapshot(b)) == before
 
 
 def test_packed_runs_hold_int64_slots_where_every_coefficient_fits():
