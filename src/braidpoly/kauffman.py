@@ -79,9 +79,9 @@ KAUFFMAN_IMAGE: dict[str, LaurentPoly2] = {
 
 K2Q_METHODS = ("skein", "prop", "closed")
 
-# from cleared caches on a 2-core Xeon VM, medians of 15: prop and closed, the slower
-# methods, take 0.045 and 0.047 s at q = 120 (0.042-0.082 s), 0.081 and 0.084 s at
-# q = 150; skein takes 0.017 and 0.027 s
+# from cleared caches on a 2-core Xeon VM under load, medians of 15: prop and closed,
+# the slower methods, take 0.081 and 0.071 s at q = 120 (0.047-0.100 s), 0.130 and
+# 0.125 s at q = 150; skein takes 0.039 and 0.078 s
 MAX_Q = 120
 
 
