@@ -133,7 +133,6 @@ def parse_braid(text: str, strands: int | None = None) -> BraidWord:
     if strands is None:
         strands = needed
     elif strands < needed:
-        raise StrandMismatch(
-            f"word uses s{needed - 1} but only {strands} strands were given"
-        )
+        given = "1 strand was" if strands == 1 else f"{strands} strands were"
+        raise StrandMismatch(f"word uses s{needed - 1} but only {given} given")
     return BraidWord(strands, tuple(syllables))

@@ -6,6 +6,7 @@ expands the letter matrix into signed letter words; all three exist to
 be obviously correct, not quick.  ``ladder_words`` writes out the
 matching words of the q-rung ladder that ``P(q)`` sums.  ``mirror`` and
 ``power`` are the ring operations the tests use that the package does not.
+``relabel`` renumbers a diagram's crossings.
 """
 
 from collections import Counter
@@ -75,6 +76,14 @@ def bracket_state_sum(d: LinkDiagram, max_crossings: int = DEFAULT_CROSSING_CAP)
             total = total + LaurentPoly1(by_a) * delta_pow
         delta_pow = delta_pow * _LOOP_FACTOR
     return total
+
+
+def relabel(d: LinkDiagram, order: list[int]) -> LinkDiagram:
+    """``d`` with crossing ``order[j]`` renumbered j: ``theta`` rewritten, nothing else."""
+    label = {crossing: j for j, crossing in enumerate(order)}
+    theta = [4 * label[d.theta[4 * k + s] >> 2] + (d.theta[4 * k + s] & 3)
+             for k in order for s in range(4)]
+    return LinkDiagram(d.word, d.crossings, theta, d.closure_darts, d.free_loops)
 
 
 def cofactor_det(m: list[list[LaurentPoly1]], max_size: int = 10) -> LaurentPoly1:

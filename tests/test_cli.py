@@ -441,6 +441,18 @@ def test_enumeration_caps_are_checked_before_building(capsys, monkeypatch):
     assert (code, "ceiling" in err) == (3, True)
 
 
+@pytest.mark.parametrize(
+    ("braid", "strands", "message"),
+    [
+        ("s1^3", "1", "word uses s1 but only 1 strand was given"),
+        ("s1 s3", "2", "word uses s3 but only 2 strands were given"),
+    ],
+)
+def test_too_few_strands_exit_1_naming_the_count(capsys, braid, strands, message):
+    code, out, err = invoke(capsys, "jones", "--braid", braid, "--strands", strands)
+    assert (code, out, err) == (1, "", f"braidpoly: error: {message}\n")
+
+
 def test_overlong_numbers_in_braid_text_exit_1(capsys):
     code, _, err = invoke(capsys, "jones", "--braid", "s1^" + "9" * 5000)
     assert code == 1

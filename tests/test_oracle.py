@@ -10,7 +10,7 @@ from braidpoly.laurent import LaurentPoly1
 from braidpoly.oracle import bracket_state_sum, jones_state_sum, writhe_correction
 from braidpoly.tait import build_tait, thistlethwaite_sum
 from references import bracket_state_sum as full_walk_state_sum
-from references import cofactor_det, mirror
+from references import cofactor_det, mirror, relabel
 from words import connected_words, family_words
 
 
@@ -139,6 +139,33 @@ def test_state_sum_matches_tree_sum_on_mixed_words(word):
 @example(parse_braid("s1 s2^-1 s1 s2^-1"), 0)
 def test_one_walk_per_state_matches_the_full_walk(word, free_loops):
     d = build_diagram(word)
+    d.free_loops += free_loops
+    assert bracket_state_sum(d) == full_walk_state_sum(d)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.one_of(family_words(max_strands=5), connected_words())
+    .filter(lambda w: w.crossing_count <= 10)
+    .flatmap(lambda w: st.tuples(st.just(w), st.permutations(range(w.crossing_count))))
+)
+def test_crossing_order_cannot_change_the_bracket(word_and_order):
+    word, order = word_and_order
+    d = build_diagram(word)
+    assert bracket_state_sum(relabel(d, order)) == bracket_state_sum(d)
+
+
+@pytest.mark.parametrize(
+    ("text", "free_loops"),
+    [
+        # past the 12 ruler bits, so the high-bit path runs
+        ("s1^5 s2^4 s3^4", 0),
+        ("s1^3 s2^-2 s3^3 s1^-2 s2^2 s3^-2", 0),
+        ("s1^3 s2^-2 s3^3 s1^-2 s2^2 s3^-2", 2),
+    ],
+)
+def test_high_bits_match_the_full_walk(text, free_loops):
+    d = build_diagram(parse_braid(text))
     d.free_loops += free_loops
     assert bracket_state_sum(d) == full_walk_state_sum(d)
 
